@@ -1,9 +1,11 @@
 """Abstract interpretation of the core language.
 
 The abstract machine is the time-stamped star machine re-read over an
-abstract store: addresses hold non-empty sets of storables, store update
-joins, and lookups fan out into one successor per storable.  Termination is
-by exhaustion of the finite state space, never by fuel.
+abstract store: ``step_abstract`` fires the same ``machines._core_rules``
+as ``step_ceskt``, with ``ABSTRACT_STORE`` in place of ``CONCRETE_STORE``,
+so addresses hold non-empty sets of storables, store update joins, and
+lookups fan out into one successor per storable.  Termination is by
+exhaustion of the finite state space, never by fuel.
 
 Three drivers are provided:
 
@@ -17,7 +19,9 @@ Three drivers are provided:
 ``abstraction_map`` sends states of the concrete time-keyed machine into
 the k-bounded abstract state space by truncating every contour (in the time
 and inside every address) to its first k entries, and ``state_leq`` is the
-induced order: identical up to the store, stores ordered pointwise.
+induced order: identical up to the store, stores ordered pointwise.  The
+truncation is one field-walking map, ``alpha_fields``, shared by every
+language's states, frames and storables.
 """
 
 from __future__ import annotations
@@ -25,18 +29,19 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 
 from .machines import (
-    Ar,
     CESKtState,
-    Closure,
-    Fn,
     Kont,
     MT,
     Mt,
+    _core_rules,
+    is_final_abstract,
     tick_label,
 )
 from .store import (
+    ABSTRACT_STORE,
     Addr,
     BindA,
     Contour,
@@ -59,14 +64,9 @@ from .store import (
 )
 from .syntax import App, CORE_FORMS, Exp, Lam, Ref, check_closed, check_features
 
-
-@dataclass(frozen=True)
-class AbstractState:
-    ctrl: Exp
-    env: Env
-    store: FrozenMap
-    kont: Kont
-    time: Time
+# Abstract states have the concrete time-stamped machine's fields; only the
+# store they carry is read differently.
+AbstractState = CESKtState
 
 
 class KCFAPolicy:
@@ -100,50 +100,15 @@ class KCFAPolicy:
         return UpdateA(var, self.tick(state, kont))
 
 
-def inject_abstract(e: Exp, policy: KCFAPolicy) -> AbstractState:
+def inject_abstract(e: Exp, policy: KCFAPolicy) -> CESKtState:
     check_closed(e)
     check_features(e, CORE_FORMS, "core")
-    return AbstractState(e, EMPTY_MAP, EMPTY_ASTORE, MT, policy.t0)
+    return CESKtState(e, EMPTY_MAP, EMPTY_ASTORE, MT, policy.t0)
 
 
-def is_final_abstract(s: AbstractState) -> bool:
-    return isinstance(s.ctrl, Lam) and isinstance(s.kont, Mt)
-
-
-def step_abstract(s: AbstractState, policy: KCFAPolicy) -> list[AbstractState]:
+def step_abstract(s: CESKtState, policy: KCFAPolicy) -> list[CESKtState]:
     """All one-step successors, in a deterministic order."""
-    c, env, store, k = s.ctrl, s.env, s.store, s.kont
-    succs: list[AbstractState] = []
-    if isinstance(c, Ref):
-        addr = env.get(c.name)
-        if addr is not None:
-            u = policy.tick(s, k)
-            for v in sorted(astore_get(store, addr), key=sort_key):
-                if isinstance(v, Closure):
-                    succs.append(AbstractState(v.lam, v.env, store, k, u))
-    elif isinstance(c, App):
-        u = policy.tick(s, k)
-        addr = policy.alloc_kont(c.label, s, k)
-        store2 = astore_add(store, addr, [k])
-        succs.append(AbstractState(c.fun, env, store2, Ar(c.arg, env, addr), u))
-    elif isinstance(c, Lam):
-        if isinstance(k, Ar):
-            u = policy.tick(s, k)
-            succs.append(AbstractState(k.exp, k.env, store, Fn(c, env, k.tail), u))
-        elif isinstance(k, Fn):
-            for popped in sorted(astore_get(store, k.tail), key=sort_key):
-                if not isinstance(popped, Kont):
-                    continue
-                u = policy.tick(s, popped)
-                addr = policy.alloc_bind(k.lam.param, s, popped)
-                store2 = astore_add(store, addr, [Closure(c, env)])
-                succs.append(
-                    AbstractState(
-                        k.lam.body, k.env.set(k.lam.param, addr), store2, popped, u
-                    )
-                )
-        # value at Mt: a finished computation, no successors
-    return succs
+    return _core_rules(s, ABSTRACT_STORE, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +190,34 @@ def alpha_env(env: Env, k: int) -> Env:
     return FrozenMap({x: alpha_addr(a, k) for x, a in env.items()})
 
 
-def alpha_kont_core(kont: Kont, k: int) -> Kont:
-    if isinstance(kont, Mt):
-        return MT
-    if isinstance(kont, Ar):
-        return Ar(kont.exp, alpha_env(kont.env, k), alpha_addr(kont.tail, k))
-    if isinstance(kont, Fn):
-        return Fn(kont.lam, alpha_env(kont.env, k), alpha_addr(kont.tail, k))
-    raise TypeError(f"not a core frame: {kont!r}")
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def alpha_fields(x, k: int):
+    """Truncate every contour inside a state, frame, value, handler or
+    storable of any language: addresses and times are truncated, the
+    ``store`` field goes through ``alpha_store``, maps (environments, marks)
+    and other dataclasses are walked field by field, syntax is kept."""
+    if isinstance(x, Addr):
+        return alpha_addr(x, k)
+    if isinstance(x, Time):
+        return alpha_time(x, k)
+    if isinstance(x, FrozenMap):
+        return FrozenMap({key: alpha_fields(v, k) for key, v in x.items()})
+    if isinstance(x, Exp) or not dataclasses.is_dataclass(x):
+        return x
+    return type(x)(*(
+        alpha_store(getattr(x, name), k) if name == "store" else alpha_fields(getattr(x, name), k)
+        for name in _field_names(type(x))
+    ))
 
 
 def alpha_storable_core(v, k: int):
-    if isinstance(v, Closure):
-        return Closure(v.lam, alpha_env(v.env, k))
-    if isinstance(v, Kont):
-        return alpha_kont_core(v, k)
-    raise TypeError(f"not a core storable: {v!r}")
+    """The truncation of one storable; storables of every language take the
+    same field walk."""
+    return alpha_fields(v, k)
 
 
 def alpha_store(store: FrozenMap, k: int, alpha_storable=alpha_storable_core) -> FrozenMap:
@@ -250,15 +227,9 @@ def alpha_store(store: FrozenMap, k: int, alpha_storable=alpha_storable_core) ->
     return FrozenMap({a: frozenset(vs) for a, vs in grouped.items()})
 
 
-def abstraction_map(s: CESKtState, k: int) -> AbstractState:
+def abstraction_map(s: CESKtState, k: int) -> CESKtState:
     """Truncate a concrete time-keyed state to the k-bounded space."""
-    return AbstractState(
-        s.ctrl,
-        alpha_env(s.env, k),
-        alpha_store(s.store, k),
-        alpha_kont_core(s.kont, k),
-        alpha_time(s.time, k),
-    )
+    return alpha_fields(s, k)
 
 
 def state_leq(s1, s2) -> bool:

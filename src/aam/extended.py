@@ -21,6 +21,10 @@ Rule highlights:
 * applying a continuation value discards the current continuation.
 * a value returning to ``Mt`` under an installed handler pops the handler;
   returning under ``MtH`` is final.
+
+The rules are written once, in ``_ext_rules``, against a store semantics:
+``step_extended`` fires them over exact stores, ``step_extended_abstract``
+over abstract ones.
 """
 
 from __future__ import annotations
@@ -35,12 +39,12 @@ from .machines import (
     Kont,
     MT,
     Mt,
-    Next,
     StepOutcome,
-    Stuck,
     Value,
+    _concrete_step,
 )
 from .store import (
+    ABSTRACT_STORE,
     Addr,
     EMPTY_ASTORE,
     EMPTY_MAP,
@@ -48,10 +52,6 @@ from .store import (
     FrozenMap,
     TAG_REIFY,
     Time,
-    astore_add,
-    astore_get,
-    sort_key,
-    time_strictly_precedes,
 )
 from .syntax import (
     App,
@@ -231,291 +231,138 @@ def is_final_ext(s: ExtState) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Concrete machine
+# Transition rules, concrete and abstract
 # ---------------------------------------------------------------------------
 
 
-def step_extended(s: ExtState, policy=FRESH_POLICY) -> StepOutcome:
+def _ext_rules(s: ExtState, sem, policy) -> list:
+    """The extended machine's transitions over store semantics ``sem``."""
     c, env, store, eta, k = s.ctrl, s.env, s.store, s.handler, s.kont
-
-    def advance(chosen: Kont) -> Time:
-        u = policy.tick(s, chosen)
-        assert time_strictly_precedes(s.time, u), "tick must strictly advance time"
-        return u
-
-    def alloc(fn, *args):
-        addr = fn(*args)
-        assert addr not in store, "allocation must be fresh"
-        return addr
 
     v = control_value(c, env)
     if v is None:
         if isinstance(c, Ref):
             addr = env.get(c.name)
             if addr is None:
-                return Stuck(f"unbound variable {c.name}")
-            w = store.get(addr)
-            if w is None:
-                return Stuck(f"dangling address {addr!r}")
-            u = advance(k)
-            if isinstance(w, Kont):
-                return Next(ExtState(KontV(addr), env, store, eta, k, u))
-            ctrl2, env2 = _resume(w, env)
-            return Next(ExtState(ctrl2, env2, store, eta, k, u))
-        if isinstance(c, App):
-            u = advance(k)
-            addr = alloc(policy.alloc_kont, c.label, s, k)
-            return Next(
-                ExtState(c.fun, env, store.set(addr, k), eta, ArX(c.arg, env, c.label, addr), u)
-            )
-        if isinstance(c, If):
-            u = advance(k)
-            addr = alloc(policy.alloc_kont, c.label, s, k)
-            return Next(
-                ExtState(
-                    c.test, env, store.set(addr, k), eta,
-                    IfK(c.then, c.other, env, c.label, addr), u,
-                )
-            )
-        if isinstance(c, SetBang):
-            target = env.get(c.name)
-            if target is None:
-                return Stuck(f"unbound variable {c.name}")
-            u = advance(k)
-            addr = alloc(policy.alloc_kont, c.label, s, k)
-            return Next(
-                ExtState(c.value, env, store.set(addr, k), eta, SetK(target, c.label, addr), u)
-            )
-        if isinstance(c, Throw):
-            w = control_value(c.value, env)
-            if not isinstance(eta, Hn):
-                return Stuck("throw with no handler installed")
-            pair = store.get(eta.saved)
-            if not isinstance(pair, HandlerPair):
-                return Stuck(f"dangling handler address {eta.saved!r}")
-            u = advance(pair.kont)
-            addr = alloc(policy.alloc_bind, eta.lam.param, s, pair.kont)
-            store2 = store.set(addr, w)
-            return Next(
-                ExtState(
-                    eta.lam.body, eta.env.set(eta.lam.param, addr), store2,
-                    pair.handler, pair.kont, u,
-                )
-            )
-        if isinstance(c, Catch):
-            u = advance(k)
-            addr = alloc(policy.alloc_kont, c.label, s, k)
-            store2 = store.set(addr, HandlerPair(eta, k))
-            return Next(ExtState(c.body, env, store2, Hn(c.handler, env, addr), MT, u))
-        return Stuck(f"no rule for control {c!r}")
-
-    # value rules
-    if isinstance(k, Mt):
-        if isinstance(eta, Hn):
-            pair = store.get(eta.saved)
-            if not isinstance(pair, HandlerPair):
-                return Stuck(f"dangling handler address {eta.saved!r}")
-            return Next(ExtState(c, env, store, pair.handler, pair.kont, advance(pair.kont)))
-        return Final(v)
-    if isinstance(k, ArX):
-        u = advance(k)
-        return Next(ExtState(k.exp, k.env, store, eta, FnX(v, k.site, k.tail), u))
-    if isinstance(k, FnX):
-        popped = store.get(k.tail)
-        if not isinstance(popped, Kont):
-            return Stuck(f"dangling continuation address {k.tail!r}")
-        op = k.op
-        if isinstance(op, Closure):
-            u = advance(popped)
-            addr = alloc(policy.alloc_bind, op.lam.param, s, popped)
-            store2 = store.set(addr, v)
-            return Next(
-                ExtState(op.lam.body, op.env.set(op.lam.param, addr), store2, eta, popped, u)
-            )
-        if isinstance(op, CallccV):
-            if isinstance(v, Closure):
-                u = advance(popped)
-                addr = alloc(policy.alloc_bind, v.lam.param, s, popped)
-                store2 = store.set(addr, popped)
-                return Next(
-                    ExtState(v.lam.body, v.env.set(v.lam.param, addr), store2, eta, popped, u)
-                )
-            if isinstance(v, KontV):
-                target = store.get(v.addr)
-                if not isinstance(target, Kont):
-                    return Stuck(f"dangling continuation address {v.addr!r}")
-                u = advance(target)
-                addr = alloc(policy.alloc_kont, k.site, s, target, TAG_REIFY)
-                store2 = store.set(addr, k)
-                return Next(ExtState(KontV(addr), env, store2, eta, target, u))
-            return Stuck(f"callcc applied to {v!r}")
-        if isinstance(op, KontV):
-            target = store.get(op.addr)
-            if not isinstance(target, Kont):
-                return Stuck(f"dangling continuation address {op.addr!r}")
-            return Next(ExtState(c, env, store, eta, target, advance(target)))
-        return Stuck(f"{op!r} is not applicable")
-    if isinstance(k, IfK):
-        popped = store.get(k.tail)
-        if not isinstance(popped, Kont):
-            return Stuck(f"dangling continuation address {k.tail!r}")
-        branch = k.other if isinstance(v, FalseV) else k.then
-        return Next(ExtState(branch, k.env, store, eta, popped, advance(popped)))
-    if isinstance(k, SetK):
-        popped = store.get(k.tail)
-        if not isinstance(popped, Kont):
-            return Stuck(f"dangling continuation address {k.tail!r}")
-        old = store.get(k.target)
-        if old is None:
-            return Stuck(f"dangling address {k.target!r}")
-        u = advance(popped)
-        if isinstance(old, Kont):
-            # the old continuation needs a home that survives the overwrite
-            addr = alloc(policy.alloc_kont, k.site, s, popped, TAG_REIFY)
-            store2 = store.set(addr, old).set(k.target, v)
-            return Next(ExtState(KontV(addr), env, store2, eta, popped, u))
-        store2 = store.set(k.target, v)
-        ctrl2, env2 = _resume(old, env)
-        return Next(ExtState(ctrl2, env2, store2, eta, popped, u))
-    return Stuck(f"no rule for continuation {k!r}")
-
-
-# ---------------------------------------------------------------------------
-# Abstract machine
-# ---------------------------------------------------------------------------
-
-
-def _konts_at(store: FrozenMap, addr: Addr) -> list:
-    return [w for w in sorted(astore_get(store, addr), key=sort_key) if isinstance(w, Kont)]
-
-
-def step_extended_abstract(s: ExtState, policy) -> list[ExtState]:
-    c, env, store, eta, k = s.ctrl, s.env, s.store, s.handler, s.kont
-    succs: list[ExtState] = []
-
-    v = control_value(c, env)
-    if v is None:
-        if isinstance(c, Ref):
-            addr = env.get(c.name)
-            if addr is None:
-                return []
-            u = policy.tick(s, k)
+                return sem.stuck("unbound variable {}", c.name)
+            ws = sem.fetch(store, addr, object, "address")
+            u = sem.tick(policy, s, k)
+            succs = []
             seen_kont = False
-            for w in sorted(astore_get(store, addr), key=sort_key):
+            for w in ws:
                 if isinstance(w, Kont):
+                    # a continuation value names its address, so all frames there give one
                     if not seen_kont:
                         seen_kont = True
                         succs.append(ExtState(KontV(addr), env, store, eta, k, u))
                 else:
                     ctrl2, env2 = _resume(w, env)
                     succs.append(ExtState(ctrl2, env2, store, eta, k, u))
-        elif isinstance(c, App):
-            u = policy.tick(s, k)
+            return succs
+        if isinstance(c, (App, If, SetBang, Catch)):
+            if isinstance(c, SetBang):
+                target = env.get(c.name)
+                if target is None:
+                    return sem.stuck("unbound variable {}", c.name)
+            u = sem.tick(policy, s, k)
             addr = policy.alloc_kont(c.label, s, k)
-            store2 = astore_add(store, addr, [k])
-            succs.append(
-                ExtState(c.fun, env, store2, eta, ArX(c.arg, env, c.label, addr), u)
-            )
-        elif isinstance(c, If):
-            u = policy.tick(s, k)
-            addr = policy.alloc_kont(c.label, s, k)
-            store2 = astore_add(store, addr, [k])
-            succs.append(
-                ExtState(c.test, env, store2, eta, IfK(c.then, c.other, env, c.label, addr), u)
-            )
-        elif isinstance(c, SetBang):
-            target = env.get(c.name)
-            if target is not None:
-                u = policy.tick(s, k)
-                addr = policy.alloc_kont(c.label, s, k)
-                store2 = astore_add(store, addr, [k])
-                succs.append(
-                    ExtState(c.value, env, store2, eta, SetK(target, c.label, addr), u)
-                )
-        elif isinstance(c, Throw):
-            if isinstance(eta, Hn):
-                w = control_value(c.value, env)
-                for pair in sorted(astore_get(store, eta.saved), key=sort_key):
-                    if not isinstance(pair, HandlerPair):
-                        continue
-                    u = policy.tick(s, pair.kont)
-                    addr = policy.alloc_bind(eta.lam.param, s, pair.kont)
-                    store2 = astore_add(store, addr, [w])
-                    succs.append(
-                        ExtState(
-                            eta.lam.body, eta.env.set(eta.lam.param, addr), store2,
-                            pair.handler, pair.kont, u,
-                        )
-                    )
-        elif isinstance(c, Catch):
-            u = policy.tick(s, k)
-            addr = policy.alloc_kont(c.label, s, k)
-            store2 = astore_add(store, addr, [HandlerPair(eta, k)])
-            succs.append(ExtState(c.body, env, store2, Hn(c.handler, env, addr), MT, u))
-        return succs
+            if isinstance(c, App):
+                return [ExtState(c.fun, env, sem.alloc(store, addr, k), eta,
+                                 ArX(c.arg, env, c.label, addr), u)]
+            if isinstance(c, If):
+                return [ExtState(c.test, env, sem.alloc(store, addr, k), eta,
+                                 IfK(c.then, c.other, env, c.label, addr), u)]
+            if isinstance(c, SetBang):
+                return [ExtState(c.value, env, sem.alloc(store, addr, k), eta,
+                                 SetK(target, c.label, addr), u)]
+            store2 = sem.alloc(store, addr, HandlerPair(eta, k))
+            return [ExtState(c.body, env, store2, Hn(c.handler, env, addr), MT, u)]
+        if isinstance(c, Throw):
+            w = control_value(c.value, env)
+            if not isinstance(eta, Hn):
+                return sem.stuck("throw with no handler installed")
+            succs = []
+            for pair in sem.fetch(store, eta.saved, HandlerPair, "handler address"):
+                u = sem.tick(policy, s, pair.kont)
+                addr = policy.alloc_bind(eta.lam.param, s, pair.kont)
+                store2 = sem.alloc(store, addr, w)
+                succs.append(ExtState(eta.lam.body, eta.env.set(eta.lam.param, addr), store2,
+                                      pair.handler, pair.kont, u))
+            return succs
+        return sem.stuck("no rule for control {!r}", c)
 
     # value rules
     if isinstance(k, Mt):
-        if isinstance(eta, Hn):
-            for pair in sorted(astore_get(store, eta.saved), key=sort_key):
-                if isinstance(pair, HandlerPair):
-                    u = policy.tick(s, pair.kont)
-                    succs.append(ExtState(c, env, store, pair.handler, pair.kont, u))
-        return succs
+        if not isinstance(eta, Hn):
+            return []  # final
+        pairs = sem.fetch(store, eta.saved, HandlerPair, "handler address")
+        return [ExtState(c, env, store, p.handler, p.kont, sem.tick(policy, s, p.kont))
+                for p in pairs]
     if isinstance(k, ArX):
-        u = policy.tick(s, k)
-        return [ExtState(k.exp, k.env, store, eta, FnX(v, k.site, k.tail), u)]
+        return [ExtState(k.exp, k.env, store, eta, FnX(v, k.site, k.tail), sem.tick(policy, s, k))]
+    if not isinstance(k, (FnX, IfK, SetK)):
+        return sem.stuck("no rule for continuation {!r}", k)
+    popped_all = sem.fetch(store, k.tail, Kont, "continuation address")
+    succs = []
     if isinstance(k, FnX):
         op = k.op
-        for popped in _konts_at(store, k.tail):
+        for popped in popped_all:
             if isinstance(op, Closure):
-                u = policy.tick(s, popped)
+                u = sem.tick(policy, s, popped)
                 addr = policy.alloc_bind(op.lam.param, s, popped)
-                store2 = astore_add(store, addr, [v])
-                succs.append(
-                    ExtState(op.lam.body, op.env.set(op.lam.param, addr), store2, eta, popped, u)
-                )
+                store2 = sem.alloc(store, addr, v)
+                succs.append(ExtState(op.lam.body, op.env.set(op.lam.param, addr), store2,
+                                      eta, popped, u))
+            elif isinstance(op, CallccV) and isinstance(v, Closure):
+                u = sem.tick(policy, s, popped)
+                addr = policy.alloc_bind(v.lam.param, s, popped)
+                store2 = sem.alloc(store, addr, popped)
+                succs.append(ExtState(v.lam.body, v.env.set(v.lam.param, addr), store2,
+                                      eta, popped, u))
+            elif isinstance(op, CallccV) and isinstance(v, KontV):
+                for target in sem.fetch(store, v.addr, Kont, "continuation address"):
+                    u = sem.tick(policy, s, target)
+                    addr = policy.alloc_kont(k.site, s, target, TAG_REIFY)
+                    store2 = sem.alloc(store, addr, k)
+                    succs.append(ExtState(KontV(addr), env, store2, eta, target, u))
             elif isinstance(op, CallccV):
-                if isinstance(v, Closure):
-                    u = policy.tick(s, popped)
-                    addr = policy.alloc_bind(v.lam.param, s, popped)
-                    store2 = astore_add(store, addr, [popped])
-                    succs.append(
-                        ExtState(v.lam.body, v.env.set(v.lam.param, addr), store2, eta, popped, u)
-                    )
-                elif isinstance(v, KontV):
-                    for target in _konts_at(store, v.addr):
-                        u = policy.tick(s, target)
-                        addr = policy.alloc_kont(k.site, s, target, TAG_REIFY)
-                        store2 = astore_add(store, addr, [k])
-                        succs.append(ExtState(KontV(addr), env, store2, eta, target, u))
+                return sem.stuck("callcc applied to {!r}", v)
             elif isinstance(op, KontV):
-                for target in _konts_at(store, op.addr):
-                    u = policy.tick(s, target)
-                    succs.append(ExtState(c, env, store, eta, target, u))
+                for target in sem.fetch(store, op.addr, Kont, "continuation address"):
+                    succs.append(ExtState(c, env, store, eta, target, sem.tick(policy, s, target)))
+            else:
+                return sem.stuck("{!r} is not applicable", op)
         return succs
     if isinstance(k, IfK):
         branch = k.other if isinstance(v, FalseV) else k.then
-        for popped in _konts_at(store, k.tail):
-            u = policy.tick(s, popped)
-            succs.append(ExtState(branch, k.env, store, eta, popped, u))
-        return succs
-    if isinstance(k, SetK):
-        olds = sorted(astore_get(store, k.target), key=sort_key)
-        kont_olds = [w for w in olds if isinstance(w, Kont)]
-        store2 = astore_add(store, k.target, [v])
-        for popped in _konts_at(store, k.tail):
-            u = policy.tick(s, popped)
-            if kont_olds:
-                addr = policy.alloc_kont(k.site, s, popped, TAG_REIFY)
-                store3 = astore_add(store2, addr, kont_olds)
-                succs.append(ExtState(KontV(addr), env, store3, eta, popped, u))
-            for old in olds:
-                if not isinstance(old, Kont):
-                    ctrl2, env2 = _resume(old, env)
-                    succs.append(ExtState(ctrl2, env2, store2, eta, popped, u))
-        return succs
+        return [ExtState(branch, k.env, store, eta, p, sem.tick(policy, s, p)) for p in popped_all]
+    olds = sem.fetch(store, k.target, object, "address")
+    kont_olds = [w for w in olds if isinstance(w, Kont)]
+    store2 = sem.update(store, k.target, v)
+    for popped in popped_all:
+        u = sem.tick(policy, s, popped)
+        if kont_olds:
+            # the old continuation needs a home that survives the overwrite
+            addr = policy.alloc_kont(k.site, s, popped, TAG_REIFY)
+            store3 = store2
+            for w in kont_olds:
+                store3 = sem.alloc(store3, addr, w)
+            succs.append(ExtState(KontV(addr), env, store3, eta, popped, u))
+        for old in olds:
+            if not isinstance(old, Kont):
+                ctrl2, env2 = _resume(old, env)
+                succs.append(ExtState(ctrl2, env2, store2, eta, popped, u))
     return succs
+
+
+def step_extended(s: ExtState, policy=FRESH_POLICY) -> StepOutcome:
+    if is_final_ext(s):
+        return Final(control_value(s.ctrl, s.env))
+    return _concrete_step(_ext_rules, s, policy)
+
+
+def step_extended_abstract(s: ExtState, policy) -> list[ExtState]:
+    return _ext_rules(s, ABSTRACT_STORE, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -523,59 +370,7 @@ def step_extended_abstract(s: ExtState, policy) -> list[ExtState]:
 # ---------------------------------------------------------------------------
 
 
-def alpha_ext_value(v: Value, k: int) -> Value:
-    from .analysis import alpha_addr, alpha_env
-
-    if isinstance(v, Closure):
-        return Closure(v.lam, alpha_env(v.env, k))
-    if isinstance(v, KontV):
-        return KontV(alpha_addr(v.addr, k))
-    return v
-
-
-def alpha_ext_kont(kont: Kont, k: int) -> Kont:
-    from .analysis import alpha_addr, alpha_env
-
-    if isinstance(kont, Mt):
-        return MT
-    if isinstance(kont, ArX):
-        return ArX(kont.exp, alpha_env(kont.env, k), kont.site, alpha_addr(kont.tail, k))
-    if isinstance(kont, FnX):
-        return FnX(alpha_ext_value(kont.op, k), kont.site, alpha_addr(kont.tail, k))
-    if isinstance(kont, IfK):
-        return IfK(kont.then, kont.other, alpha_env(kont.env, k), kont.site, alpha_addr(kont.tail, k))
-    if isinstance(kont, SetK):
-        return SetK(alpha_addr(kont.target, k), kont.site, alpha_addr(kont.tail, k))
-    raise TypeError(f"not an extended frame: {kont!r}")
-
-
-def alpha_ext_handler(h: Handler, k: int) -> Handler:
-    from .analysis import alpha_addr, alpha_env
-
-    if isinstance(h, MtH):
-        return MTH
-    return Hn(h.lam, alpha_env(h.env, k), alpha_addr(h.saved, k))
-
-
-def alpha_ext_storable(w, k: int):
-    if isinstance(w, Value):
-        return alpha_ext_value(w, k)
-    if isinstance(w, Kont):
-        return alpha_ext_kont(w, k)
-    if isinstance(w, HandlerPair):
-        return HandlerPair(alpha_ext_handler(w.handler, k), alpha_ext_kont(w.kont, k))
-    raise TypeError(f"not an extended storable: {w!r}")
-
-
 def alpha_ext_state(s: ExtState, k: int) -> ExtState:
-    from .analysis import alpha_env, alpha_store, alpha_time
+    from .analysis import alpha_fields
 
-    ctrl = s.ctrl if isinstance(s.ctrl, Exp) else alpha_ext_value(s.ctrl, k)
-    return ExtState(
-        ctrl,
-        alpha_env(s.env, k),
-        alpha_store(s.store, k, alpha_ext_storable),
-        alpha_ext_handler(s.handler, k),
-        alpha_ext_kont(s.kont, k),
-        alpha_time(s.time, k),
-    )
+    return alpha_fields(s, k)

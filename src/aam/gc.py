@@ -12,43 +12,21 @@ dead bindings joined at a reused address would otherwise flow into later
 lookups, so collecting between steps yields fewer states and smaller value
 sets.
 
-``live_locations`` knows every storable and frame shape in the package;
-``collect`` knows every state shape and its root set.
+Liveness is one walk over any machine's objects, so it knows no machine:
+an address is live where it is written; an expression field is trimmed to
+the bindings of its free variables in the object's ``env`` field, or, in
+an object with no environment (the monovariant machine), to the
+variable-named ``MonoBindA`` addresses; other fields are walked in turn.
+``collect`` applies the same walk to a state, with its store left out, to
+find the roots.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import cache
 from typing import Callable, Iterable
 
-from .analysis import AbstractState, Ar0, Fn0, ZState
-from .extended import (
-    ArX,
-    CallccV,
-    ExtState,
-    FalseV,
-    FnX,
-    HandlerPair,
-    Hn,
-    IfK,
-    KontV,
-    MtH,
-    SetK,
-    Value,
-)
-from .inspection import ArM, CMStarState, CMState, FnM, MtM
-from .lazy import ApplyExpK, ApplyK, Computed, Delayed, LKState, LKStarState, UpdateK
-from .machines import (
-    Ar,
-    CESKState,
-    CESKStarState,
-    CESKtState,
-    Closure,
-    Fn,
-    Mt,
-    Next,
-    StepOutcome,
-)
 from .store import Addr, Env, FrozenMap, MonoBindA, StoreError, astore_get
 from .syntax import Exp, free_vars
 
@@ -64,62 +42,36 @@ def live_mono(e: Exp) -> frozenset[Addr]:
     return frozenset(MonoBindA(x) for x in free_vars(e))
 
 
-def _tail(t) -> frozenset[Addr]:
-    if isinstance(t, Addr):
-        return frozenset((t,))
-    return live_locations(t)
+@cache
+def _walked_fields(cls) -> tuple[str, ...]:
+    """Fields that can mention addresses: all but the environment, which
+    only counts through the expressions it closes, the store, and the
+    time."""
+    return tuple(f.name for f in fields(cls) if f.name not in ("env", "store", "time"))
 
 
 def live_locations(v) -> frozenset[Addr]:
-    """Addresses directly mentioned by one storable, value, frame, or
-    handler."""
+    """Addresses directly mentioned by an address, expression, storable,
+    value, frame, handler or (store aside) state."""
     if isinstance(v, Addr):
         return frozenset((v,))
-    if isinstance(v, Closure):
-        return live_exp(v.lam, v.env)
-    if isinstance(v, (FalseV, CallccV)):
-        return frozenset()
-    if isinstance(v, KontV):
-        return frozenset((v.addr,))
-    if isinstance(v, (Mt, MtH, MtM)):
-        return frozenset()
-    if isinstance(v, Ar):
-        return live_exp(v.exp, v.env) | _tail(v.tail)
-    if isinstance(v, Fn):
-        return live_exp(v.lam, v.env) | _tail(v.tail)
-    if isinstance(v, UpdateK):
-        return frozenset((v.target,)) | _tail(v.tail)
-    if isinstance(v, ApplyK):
-        return frozenset((v.arg,)) | _tail(v.tail)
-    if isinstance(v, ApplyExpK):
-        return live_exp(v.exp, v.env) | _tail(v.tail)
-    if isinstance(v, Delayed):
-        return live_exp(v.exp, v.env)
-    if isinstance(v, Computed):
-        return live_exp(v.lam, v.env)
-    if isinstance(v, ArX):
-        return live_exp(v.exp, v.env) | _tail(v.tail)
-    if isinstance(v, FnX):
-        return live_locations(v.op) | _tail(v.tail)
-    if isinstance(v, IfK):
-        return live_exp(v.then, v.env) | live_exp(v.other, v.env) | _tail(v.tail)
-    if isinstance(v, SetK):
-        return frozenset((v.target,)) | _tail(v.tail)
-    if isinstance(v, Hn):
-        return live_exp(v.lam, v.env) | frozenset((v.saved,))
-    if isinstance(v, HandlerPair):
-        return live_locations(v.handler) | live_locations(v.kont)
-    if isinstance(v, ArM):
-        return live_exp(v.exp, v.env) | _tail(v.tail)
-    if isinstance(v, FnM):
-        return live_exp(v.lam, v.env) | _tail(v.tail)
-    if isinstance(v, Ar0):
-        return live_mono(v.exp) | frozenset((v.tail,))
-    if isinstance(v, Fn0):
-        return live_mono(v.lam) | frozenset((v.tail,))
     if isinstance(v, Exp):
         return live_mono(v)
-    raise TypeError(f"no liveness rule for {v!r}")
+    try:
+        names = _walked_fields(type(v))
+    except TypeError:
+        raise TypeError(f"no liveness rule for {v!r}") from None
+    env = getattr(v, "env", None)
+    live: set[Addr] = set()
+    for name in names:
+        x = getattr(v, name)
+        if isinstance(x, Addr):
+            live.add(x)
+        elif isinstance(x, Exp):
+            live |= live_mono(x) if env is None else live_exp(x, env)
+        elif hasattr(x, "__dataclass_fields__"):
+            live |= live_locations(x)
+    return frozenset(live)
 
 
 def gc_reachable(
@@ -151,21 +103,7 @@ def gc_reachable(
 
 
 def _roots(state) -> frozenset[Addr]:
-    if isinstance(state, (CESKState, CESKStarState, CESKtState, AbstractState)):
-        return live_exp(state.ctrl, state.env) | live_locations(state.kont)
-    if isinstance(state, (LKState, LKStarState)):
-        return live_exp(state.ctrl, state.env) | live_locations(state.kont)
-    if isinstance(state, ExtState):
-        if isinstance(state.ctrl, Value):
-            ctrl_live = live_locations(state.ctrl)
-        else:
-            ctrl_live = live_exp(state.ctrl, state.env)
-        return ctrl_live | live_locations(state.kont) | live_locations(state.handler)
-    if isinstance(state, (CMState, CMStarState)):
-        return live_exp(state.ctrl, state.env) | live_locations(state.kont)
-    if isinstance(state, ZState):
-        return live_mono(state.ctrl) | live_locations(state.kont)
-    raise TypeError(f"no root set for {type(state).__name__}")
+    return live_locations(state)
 
 
 def collect(state, abstract: bool = False):
@@ -178,11 +116,10 @@ def collect(state, abstract: bool = False):
 def collecting_step(step: Callable) -> Callable:
     """Wrap a concrete step function so every successor state is collected."""
 
-    def wrapped(state, *args, **kwargs) -> StepOutcome:
+    def wrapped(state, *args, **kwargs):
         out = step(state, *args, **kwargs)
-        if isinstance(out, Next):
-            return Next(collect(out.state))
-        return out
+        successor = getattr(out, "state", None)  # only a Next outcome has one
+        return out if successor is None else type(out)(collect(successor))
 
     return wrapped
 

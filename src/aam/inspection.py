@@ -14,11 +14,13 @@ R, drops granted permissions, and succeeds at the empty continuation (or
 once nothing is left to justify).  Pushed frames start with empty marks;
 refocusing an argument frame into a call frame preserves its marks.
 
-The abstract machine stores continuations like the star machine.  Its
-inspection predicate is a pair of path searches over the store: a test
-takes its true branch if some resolved continuation path satisfies OK and
-its false branch if some path refutes OK; with a merged store both can
-hold at once.
+The machine with store-allocated continuations is written once, in
+``_cm_rules``, against a store semantics: ``step_cm_star`` fires it over
+exact stores and ``step_cm_abstract`` over abstract ones.  Its inspection
+predicate is one search over the store-resolved continuation paths: a test
+takes its true branch if some path satisfies OK and its false branch if
+some path refutes OK.  An exact store has one path, so exactly one branch
+is taken; with a merged store both can be.
 
 ``annotate`` applies the static policy: every lambda body is wrapped in a
 frame carrying the given permission set and every grant is intersected
@@ -40,19 +42,17 @@ from .machines import (
     Next,
     StepOutcome,
     Stuck,
+    _concrete_step,
 )
 from .store import (
+    ABSTRACT_STORE,
     Addr,
     EMPTY_ASTORE,
     EMPTY_MAP,
     Env,
     FrozenMap,
     Time,
-    astore_add,
-    astore_get,
     fresh_addr,
-    sort_key,
-    time_strictly_precedes,
 )
 from .syntax import (
     App,
@@ -189,54 +189,39 @@ def ok(perms: frozenset[str], kont: Kont, store: FrozenMap | None = None) -> boo
         kont = tail
 
 
-def ok_hat(perms: frozenset[str], kont: Kont, store: FrozenMap) -> bool:
-    """True iff some store-resolved continuation path satisfies OK."""
+def _inspect(perms: frozenset[str], kont: Kont, store: FrozenMap, sem) -> tuple[bool, bool]:
+    """(some store-resolved continuation path satisfies OK, some path
+    refutes OK), resolving frame tails through store semantics ``sem``."""
     if not perms:
-        return True
+        return True, False
+    some_ok = some_fail = False
     work: list[tuple[frozenset[str], Kont]] = [(perms, kont)]
     visited: set[tuple[frozenset[str], Addr]] = set()
-    while work:
+    while work and not (some_ok and some_fail):
         r, k = work.pop()
         if _denied(k.marks, r):
+            some_fail = True
             continue
-        if isinstance(k, MtM):
-            return True
         r2 = _drop_granted(k.marks, r)
-        if not r2:
-            return True
+        if isinstance(k, MtM) or not r2:
+            some_ok = True
+            continue
         key = (r2, k.tail)
         if key in visited:
             continue
         visited.add(key)
-        for nxt in sorted(astore_get(store, k.tail), key=sort_key):
-            if isinstance(nxt, Kont):
-                work.append((r2, nxt))
-    return False
+        work.extend((r2, nxt) for nxt in sem.fetch(store, k.tail, Kont, "continuation address"))
+    return some_ok, some_fail
+
+
+def ok_hat(perms: frozenset[str], kont: Kont, store: FrozenMap) -> bool:
+    """True iff some store-resolved continuation path satisfies OK."""
+    return _inspect(perms, kont, store, ABSTRACT_STORE)[0]
 
 
 def fails_hat(perms: frozenset[str], kont: Kont, store: FrozenMap) -> bool:
     """True iff some store-resolved continuation path refutes OK."""
-    if not perms:
-        return False
-    work: list[tuple[frozenset[str], Kont]] = [(perms, kont)]
-    visited: set[tuple[frozenset[str], Addr]] = set()
-    while work:
-        r, k = work.pop()
-        if _denied(k.marks, r):
-            return True
-        if isinstance(k, MtM):
-            continue
-        r2 = _drop_granted(k.marks, r)
-        if not r2:
-            continue
-        key = (r2, k.tail)
-        if key in visited:
-            continue
-        visited.add(key)
-        for nxt in sorted(astore_get(store, k.tail), key=sort_key):
-            if isinstance(nxt, Kont):
-                work.append((r2, nxt))
-    return False
+    return _inspect(perms, kont, store, ABSTRACT_STORE)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -313,58 +298,8 @@ def step_cm(s: CMState, universe: frozenset[str]) -> StepOutcome:
     return Stuck(f"no rule for control {c!r}")
 
 
-def step_cm_star(s: CMStarState, universe: frozenset[str], policy=FRESH_POLICY) -> StepOutcome:
-    c, env, store, k = s.ctrl, s.env, s.store, s.kont
-
-    def advance(chosen: Kont) -> Time:
-        u = policy.tick(s, chosen)
-        assert time_strictly_precedes(s.time, u), "tick must strictly advance time"
-        return u
-
-    if isinstance(c, Ref):
-        addr = env.get(c.name)
-        if addr is None:
-            return Stuck(f"unbound variable {c.name}")
-        clo = store.get(addr)
-        if not isinstance(clo, Closure):
-            return Stuck(f"dangling address {addr!r}")
-        return Next(CMStarState(clo.lam, clo.env, store, k, advance(k)))
-    if isinstance(c, App):
-        u = advance(k)
-        addr = policy.alloc_kont(c.label, s, k)
-        assert addr not in store, "allocation must be fresh"
-        store2 = store.set(addr, k)
-        return Next(CMStarState(c.fun, env, store2, ArM(c.arg, env, EMPTY_MARKS, addr), u))
-    if isinstance(c, Lam):
-        if isinstance(k, ArM):
-            return Next(CMStarState(k.exp, k.env, store, FnM(c, env, k.marks, k.tail), advance(k)))
-        if isinstance(k, FnM):
-            popped = store.get(k.tail)
-            if not isinstance(popped, Kont):
-                return Stuck(f"dangling continuation address {k.tail!r}")
-            u = advance(popped)
-            addr = policy.alloc_bind(k.lam.param, s, popped)
-            assert addr not in store, "allocation must be fresh"
-            store2 = store.set(addr, Closure(c, env))
-            return Next(CMStarState(k.lam.body, k.env.set(k.lam.param, addr), store2, popped, u))
-        if isinstance(k, MtM):
-            return Final(Closure(c, env))
-    if isinstance(c, Fail):
-        if _is_fail_halt(c, k):
-            return FailFinal()
-        return Next(CMStarState(c, env, store, MTM, advance(MTM)))
-    if isinstance(c, Frame):
-        return Next(CMStarState(c.body, env, store, mark(k, universe - c.perms, DENY), advance(k)))
-    if isinstance(c, Grant):
-        return Next(CMStarState(c.body, env, store, mark(k, c.perms, GRANT), advance(k)))
-    if isinstance(c, Test):
-        branch = c.then if ok(c.perms, k, store) else c.other
-        return Next(CMStarState(branch, env, store, k, advance(k)))
-    return Stuck(f"no rule for control {c!r}")
-
-
 # ---------------------------------------------------------------------------
-# Abstract machine
+# Store-allocated continuations, concrete and abstract
 # ---------------------------------------------------------------------------
 
 
@@ -376,52 +311,61 @@ def is_fail_acm(s: CMStarState) -> bool:
     return _is_fail_halt(s.ctrl, s.kont)
 
 
-def step_cm_abstract(s: CMStarState, universe: frozenset[str], policy) -> list[CMStarState]:
+def _cm_rules(s: CMStarState, sem, universe: frozenset[str], policy) -> list:
+    """The security machine's transitions with store-allocated frames, over
+    store semantics ``sem``."""
     c, env, store, k = s.ctrl, s.env, s.store, s.kont
-    succs: list[CMStarState] = []
     if isinstance(c, Ref):
         addr = env.get(c.name)
         if addr is None:
-            return []
-        u = policy.tick(s, k)
-        for v in sorted(astore_get(store, addr), key=sort_key):
-            if isinstance(v, Closure):
-                succs.append(CMStarState(v.lam, v.env, store, k, u))
-    elif isinstance(c, App):
-        u = policy.tick(s, k)
+            return sem.stuck("unbound variable {}", c.name)
+        clos = sem.fetch(store, addr, Closure, "address")
+        u = sem.tick(policy, s, k)
+        return [CMStarState(v.lam, v.env, store, k, u) for v in clos]
+    if isinstance(c, App):
+        u = sem.tick(policy, s, k)
         addr = policy.alloc_kont(c.label, s, k)
-        store2 = astore_add(store, addr, [k])
-        succs.append(CMStarState(c.fun, env, store2, ArM(c.arg, env, EMPTY_MARKS, addr), u))
-    elif isinstance(c, Lam):
+        frame = ArM(c.arg, env, EMPTY_MARKS, addr)
+        return [CMStarState(c.fun, env, sem.alloc(store, addr, k), frame, u)]
+    if isinstance(c, Lam):
         if isinstance(k, ArM):
-            u = policy.tick(s, k)
-            succs.append(CMStarState(k.exp, k.env, store, FnM(c, env, k.marks, k.tail), u))
-        elif isinstance(k, FnM):
-            for popped in sorted(astore_get(store, k.tail), key=sort_key):
-                if not isinstance(popped, Kont):
-                    continue
-                u = policy.tick(s, popped)
+            frame = FnM(c, env, k.marks, k.tail)
+            return [CMStarState(k.exp, k.env, store, frame, sem.tick(policy, s, k))]
+        if isinstance(k, FnM):
+            succs = []
+            for popped in sem.fetch(store, k.tail, Kont, "continuation address"):
+                u = sem.tick(policy, s, popped)
                 addr = policy.alloc_bind(k.lam.param, s, popped)
-                store2 = astore_add(store, addr, [Closure(c, env)])
-                succs.append(
-                    CMStarState(k.lam.body, k.env.set(k.lam.param, addr), store2, popped, u)
-                )
-    elif isinstance(c, Fail):
-        if not _is_fail_halt(c, k):
-            succs.append(CMStarState(c, env, store, MTM, policy.tick(s, MTM)))
-    elif isinstance(c, Frame):
-        u = policy.tick(s, k)
-        succs.append(CMStarState(c.body, env, store, mark(k, universe - c.perms, DENY), u))
-    elif isinstance(c, Grant):
-        u = policy.tick(s, k)
-        succs.append(CMStarState(c.body, env, store, mark(k, c.perms, GRANT), u))
-    elif isinstance(c, Test):
-        u = policy.tick(s, k)
-        if ok_hat(c.perms, k, store):
-            succs.append(CMStarState(c.then, env, store, k, u))
-        if fails_hat(c.perms, k, store):
-            succs.append(CMStarState(c.other, env, store, k, u))
-    return succs
+                store2 = sem.alloc(store, addr, Closure(c, env))
+                succs.append(CMStarState(k.lam.body, k.env.set(k.lam.param, addr), store2, popped, u))
+            return succs
+        return sem.stuck("no rule for control {!r}", c)
+    if isinstance(c, Fail):
+        if _is_fail_halt(c, k):
+            return []
+        return [CMStarState(c, env, store, MTM, sem.tick(policy, s, MTM))]
+    if isinstance(c, Frame):
+        return [CMStarState(c.body, env, store, mark(k, universe - c.perms, DENY), sem.tick(policy, s, k))]
+    if isinstance(c, Grant):
+        return [CMStarState(c.body, env, store, mark(k, c.perms, GRANT), sem.tick(policy, s, k))]
+    if isinstance(c, Test):
+        some_ok, some_fail = _inspect(c.perms, k, store, sem)
+        u = sem.tick(policy, s, k)
+        branches = [b for b, taken in ((c.then, some_ok), (c.other, some_fail)) if taken]
+        return [CMStarState(b, env, store, k, u) for b in branches]
+    return sem.stuck("no rule for control {!r}", c)
+
+
+def step_cm_star(s: CMStarState, universe: frozenset[str], policy=FRESH_POLICY) -> StepOutcome:
+    if is_fail_acm(s):
+        return FailFinal()
+    if is_final_acm(s):
+        return Final(Closure(s.ctrl, s.env))
+    return _concrete_step(_cm_rules, s, universe, policy)
+
+
+def step_cm_abstract(s: CMStarState, universe: frozenset[str], policy) -> list[CMStarState]:
+    return _cm_rules(s, ABSTRACT_STORE, universe, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -429,35 +373,7 @@ def step_cm_abstract(s: CMStarState, universe: frozenset[str], policy) -> list[C
 # ---------------------------------------------------------------------------
 
 
-def alpha_cm_kont(kont: Kont, k: int) -> Kont:
-    from .analysis import alpha_addr, alpha_env
-
-    if isinstance(kont, MtM):
-        return kont
-    if isinstance(kont, ArM):
-        return ArM(kont.exp, alpha_env(kont.env, k), kont.marks, alpha_addr(kont.tail, k))
-    if isinstance(kont, FnM):
-        return FnM(kont.lam, alpha_env(kont.env, k), kont.marks, alpha_addr(kont.tail, k))
-    raise TypeError(f"not a marked frame: {kont!r}")
-
-
-def alpha_cm_storable(v, k: int):
-    from .analysis import alpha_env
-
-    if isinstance(v, Closure):
-        return Closure(v.lam, alpha_env(v.env, k))
-    if isinstance(v, Kont):
-        return alpha_cm_kont(v, k)
-    raise TypeError(f"not a security-machine storable: {v!r}")
-
-
 def alpha_cm_state(s: CMStarState, k: int) -> CMStarState:
-    from .analysis import alpha_env, alpha_store, alpha_time
+    from .analysis import alpha_fields
 
-    return CMStarState(
-        s.ctrl,
-        alpha_env(s.env, k),
-        alpha_store(s.store, k, alpha_cm_storable),
-        alpha_cm_kont(s.kont, k),
-        alpha_time(s.time, k),
-    )
+    return alpha_fields(s, k)

@@ -20,9 +20,10 @@ Three concrete variants share the value rules and differ at application:
               lambda operand is stored already Computed
 * postponed   the operand rides the frame and is allocated at binding time
 
-``step_lk`` drives linked frames; ``step_lk_star`` is the same machine with
-store-allocated frames under an allocation policy, and
-``step_lk_star_abstract`` is its abstract reading (joins and fan-outs).
+``step_lk`` drives linked frames.  The machine with store-allocated frames
+under an allocation policy is written once, in ``_lk_rules``, against a
+store semantics: ``step_lk_star`` fires it over exact stores and
+``step_lk_star_abstract`` over abstract ones (joins and fan-outs).
 """
 
 from __future__ import annotations
@@ -41,21 +42,20 @@ from .machines import (
     Next,
     StepOutcome,
     Stuck,
+    _concrete_step,
 )
 from .store import (
+    ABSTRACT_STORE,
     Addr,
-    time_strictly_precedes,
     EMPTY_ASTORE,
     EMPTY_MAP,
     Env,
     FrozenMap,
+    InvariantError,
     TAG_KONT,
     TAG_THUNK,
     Time,
-    astore_add,
-    astore_get,
     fresh_addr,
-    sort_key,
 )
 from .syntax import App, CORE_FORMS, Exp, Lam, Ref, check_closed, check_features
 
@@ -179,7 +179,8 @@ def step_lk(s: LKState, variant: str = "standard") -> StepOutcome:
         )
     if isinstance(c, Lam):
         if isinstance(k, UpdateK):
-            assert isinstance(store.get(k.target), Delayed), "memo write must be the first"
+            if not isinstance(store.get(k.target), Delayed):
+                raise InvariantError("memo write must be the first")
             return Next(LKState(c, env, store.set(k.target, Computed(c, env)), k.tail))
         if isinstance(k, ApplyK):
             return Next(LKState(c.body, env.set(c.param, k.arg), store, k.tail))
@@ -193,90 +194,7 @@ def step_lk(s: LKState, variant: str = "standard") -> StepOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Concrete machine, store-allocated frames
-# ---------------------------------------------------------------------------
-
-
-def step_lk_star(s: LKStarState, policy=FRESH_POLICY, variant: str = "standard") -> StepOutcome:
-    c, env, store, k = s.ctrl, s.env, s.store, s.kont
-
-    def advance(chosen: Kont) -> Time:
-        u = policy.tick(s, chosen)
-        assert time_strictly_precedes(s.time, u), "tick must strictly advance time"
-        return u
-
-    def alloc(fn, *args):
-        addr = fn(*args)
-        assert addr not in store, "allocation must be fresh"
-        return addr
-
-    if isinstance(c, Ref):
-        addr = env.get(c.name)
-        if addr is None:
-            return Stuck(f"unbound variable {c.name}")
-        thunk = store.get(addr)
-        if isinstance(thunk, Delayed):
-            u = advance(k)
-            ka = alloc(policy.alloc_update, c.name, s, k)
-            store2 = store.set(ka, k)
-            return Next(LKStarState(thunk.exp, thunk.env, store2, UpdateK(addr, ka), u))
-        if isinstance(thunk, Computed):
-            return Next(LKStarState(thunk.lam, thunk.env, store, k, advance(k)))
-        return Stuck(f"dangling address {addr!r}")
-    if isinstance(c, App):
-        u = advance(k)
-        if variant == "opt" and isinstance(c.arg, Ref):
-            addr = env.get(c.arg.name)
-            if addr is None:
-                return Stuck(f"unbound variable {c.arg.name}")
-            ka = alloc(policy.alloc_kont, c.label, s, k, TAG_KONT)
-            return Next(
-                LKStarState(c.fun, env, store.set(ka, k), ApplyK(addr, ka), u)
-            )
-        if variant == "opt" and isinstance(c.arg, Lam):
-            entry = Computed(c.arg, env)
-        elif variant == "postponed":
-            ka = alloc(policy.alloc_kont, c.label, s, k, TAG_KONT)
-            return Next(
-                LKStarState(c.fun, env, store.set(ka, k), ApplyExpK(c.arg, env, ka), u)
-            )
-        else:
-            entry = Delayed(c.arg, env)
-        ta = alloc(policy.alloc_kont, c.label, s, k, TAG_THUNK)
-        store2 = store.set(ta, entry)
-        s2 = dataclasses.replace(s, store=store2)
-        ka = policy.alloc_kont(c.label, s2, k, TAG_KONT)
-        assert ka not in store2, "allocation must be fresh"
-        return Next(LKStarState(c.fun, env, store2.set(ka, k), ApplyK(ta, ka), u))
-    if isinstance(c, Lam):
-        if isinstance(k, UpdateK):
-            popped = store.get(k.tail)
-            if not isinstance(popped, Kont):
-                return Stuck(f"dangling continuation address {k.tail!r}")
-            assert isinstance(store.get(k.target), Delayed), "memo write must be the first"
-            store2 = store.set(k.target, Computed(c, env))
-            return Next(LKStarState(c, env, store2, popped, advance(popped)))
-        if isinstance(k, ApplyK):
-            popped = store.get(k.tail)
-            if not isinstance(popped, Kont):
-                return Stuck(f"dangling continuation address {k.tail!r}")
-            u = advance(popped)
-            return Next(LKStarState(c.body, env.set(c.param, k.arg), store, popped, u))
-        if isinstance(k, ApplyExpK):
-            popped = store.get(k.tail)
-            if not isinstance(popped, Kont):
-                return Stuck(f"dangling continuation address {k.tail!r}")
-            u = advance(popped)
-            addr = alloc(policy.alloc_bind, c.param, s, popped)
-            store2 = store.set(addr, Delayed(k.exp, k.env))
-            return Next(LKStarState(c.body, env.set(c.param, addr), store2, popped, u))
-        if isinstance(k, Mt):
-            return Final(Closure(c, env))
-    return Stuck(f"no rule for control {c!r}")
-
-
-# ---------------------------------------------------------------------------
-# Abstract machine
+# Store-allocated frames, concrete and abstract
 # ---------------------------------------------------------------------------
 
 
@@ -284,68 +202,74 @@ def is_final_alk(s: LKStarState) -> bool:
     return isinstance(s.ctrl, Lam) and isinstance(s.kont, Mt)
 
 
-def step_lk_star_abstract(s: LKStarState, policy, variant: str = "standard") -> list[LKStarState]:
+def _lk_rules(s: LKStarState, sem, policy, variant: str) -> list:
+    """The by-need transitions with store-allocated frames, over store
+    semantics ``sem``."""
     c, env, store, k = s.ctrl, s.env, s.store, s.kont
-    succs: list[LKStarState] = []
     if isinstance(c, Ref):
         addr = env.get(c.name)
         if addr is None:
-            return []
-        u = policy.tick(s, k)
-        for thunk in sorted(astore_get(store, addr), key=sort_key):
+            return sem.stuck("unbound variable {}", c.name)
+        thunks = sem.fetch(store, addr, (Delayed, Computed), "address")
+        u = sem.tick(policy, s, k)
+        succs = []
+        for thunk in thunks:
             if isinstance(thunk, Delayed):
                 ka = policy.alloc_update(c.name, s, k)
-                store2 = astore_add(store, ka, [k])
+                store2 = sem.alloc(store, ka, k)
                 succs.append(LKStarState(thunk.exp, thunk.env, store2, UpdateK(addr, ka), u))
-            elif isinstance(thunk, Computed):
+            else:
                 succs.append(LKStarState(thunk.lam, thunk.env, store, k, u))
-    elif isinstance(c, App):
-        u = policy.tick(s, k)
+        return succs
+    if isinstance(c, App):
+        u = sem.tick(policy, s, k)
         if variant == "opt" and isinstance(c.arg, Ref):
             addr = env.get(c.arg.name)
-            if addr is not None:
-                ka = policy.alloc_kont(c.label, s, k, TAG_KONT)
-                succs.append(
-                    LKStarState(c.fun, env, astore_add(store, ka, [k]), ApplyK(addr, ka), u)
-                )
-            return succs
+            if addr is None:
+                return sem.stuck("unbound variable {}", c.arg.name)
+            ka = policy.alloc_kont(c.label, s, k, TAG_KONT)
+            return [LKStarState(c.fun, env, sem.alloc(store, ka, k), ApplyK(addr, ka), u)]
         if variant == "postponed":
             ka = policy.alloc_kont(c.label, s, k, TAG_KONT)
-            succs.append(
-                LKStarState(c.fun, env, astore_add(store, ka, [k]), ApplyExpK(c.arg, env, ka), u)
-            )
-            return succs
+            frame = ApplyExpK(c.arg, env, ka)
+            return [LKStarState(c.fun, env, sem.alloc(store, ka, k), frame, u)]
         if variant == "opt" and isinstance(c.arg, Lam):
             entry = Computed(c.arg, env)
         else:
             entry = Delayed(c.arg, env)
         ta = policy.alloc_kont(c.label, s, k, TAG_THUNK)
-        ka = policy.alloc_kont(c.label, s, k, TAG_KONT)
-        store2 = astore_add(astore_add(store, ta, [entry]), ka, [k])
-        succs.append(LKStarState(c.fun, env, store2, ApplyK(ta, ka), u))
-    elif isinstance(c, Lam):
+        store2 = sem.alloc(store, ta, entry)
+        # a store-scanning allocator must see the thunk to pick another address
+        ka = policy.alloc_kont(c.label, dataclasses.replace(s, store=store2), k, TAG_KONT)
+        return [LKStarState(c.fun, env, sem.alloc(store2, ka, k), ApplyK(ta, ka), u)]
+    if isinstance(c, Lam) and isinstance(k, (UpdateK, ApplyK, ApplyExpK)):
+        popped_all = sem.fetch(store, k.tail, Kont, "continuation address")
         if isinstance(k, UpdateK):
-            store2 = astore_add(store, k.target, [Computed(c, env)])
-            for popped in sorted(astore_get(store, k.tail), key=sort_key):
-                if isinstance(popped, Kont):
-                    succs.append(LKStarState(c, env, store2, popped, policy.tick(s, popped)))
-        elif isinstance(k, ApplyK):
-            for popped in sorted(astore_get(store, k.tail), key=sort_key):
-                if isinstance(popped, Kont):
-                    u = policy.tick(s, popped)
-                    succs.append(
-                        LKStarState(c.body, env.set(c.param, k.arg), store, popped, u)
-                    )
-        elif isinstance(k, ApplyExpK):
-            for popped in sorted(astore_get(store, k.tail), key=sort_key):
-                if isinstance(popped, Kont):
-                    u = policy.tick(s, popped)
-                    addr = policy.alloc_bind(c.param, s, popped)
-                    store2 = astore_add(store, addr, [Delayed(k.exp, k.env)])
-                    succs.append(
-                        LKStarState(c.body, env.set(c.param, addr), store2, popped, u)
-                    )
-    return succs
+            if not sem.holds(store, k.target, Delayed):
+                raise InvariantError("memo write must be the first")
+            store2 = sem.update(store, k.target, Computed(c, env))
+            return [LKStarState(c, env, store2, p, sem.tick(policy, s, p)) for p in popped_all]
+        succs = []
+        for popped in popped_all:
+            u = sem.tick(policy, s, popped)
+            if isinstance(k, ApplyK):
+                succs.append(LKStarState(c.body, env.set(c.param, k.arg), store, popped, u))
+            else:
+                addr = policy.alloc_bind(c.param, s, popped)
+                store2 = sem.alloc(store, addr, Delayed(k.exp, k.env))
+                succs.append(LKStarState(c.body, env.set(c.param, addr), store2, popped, u))
+        return succs
+    return sem.stuck("no rule for control {!r}", c)
+
+
+def step_lk_star(s: LKStarState, policy=FRESH_POLICY, variant: str = "standard") -> StepOutcome:
+    if is_final_alk(s):
+        return Final(Closure(s.ctrl, s.env))
+    return _concrete_step(_lk_rules, s, policy, variant)
+
+
+def step_lk_star_abstract(s: LKStarState, policy, variant: str = "standard") -> list[LKStarState]:
+    return _lk_rules(s, ABSTRACT_STORE, policy, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -353,39 +277,7 @@ def step_lk_star_abstract(s: LKStarState, policy, variant: str = "standard") -> 
 # ---------------------------------------------------------------------------
 
 
-def alpha_lk_kont(kont: Kont, k: int) -> Kont:
-    from .analysis import alpha_addr, alpha_env
-
-    if isinstance(kont, Mt):
-        return MT
-    if isinstance(kont, UpdateK):
-        return UpdateK(alpha_addr(kont.target, k), alpha_addr(kont.tail, k))
-    if isinstance(kont, ApplyK):
-        return ApplyK(alpha_addr(kont.arg, k), alpha_addr(kont.tail, k))
-    if isinstance(kont, ApplyExpK):
-        return ApplyExpK(kont.exp, alpha_env(kont.env, k), alpha_addr(kont.tail, k))
-    raise TypeError(f"not a lazy frame: {kont!r}")
-
-
-def alpha_lk_storable(v, k: int):
-    from .analysis import alpha_env
-
-    if isinstance(v, Delayed):
-        return Delayed(v.exp, alpha_env(v.env, k))
-    if isinstance(v, Computed):
-        return Computed(v.lam, alpha_env(v.env, k))
-    if isinstance(v, Kont):
-        return alpha_lk_kont(v, k)
-    raise TypeError(f"not a lazy storable: {v!r}")
-
-
 def alpha_lk_state(s: LKStarState, k: int) -> LKStarState:
-    from .analysis import alpha_env, alpha_store, alpha_time
+    from .analysis import alpha_fields
 
-    return LKStarState(
-        s.ctrl,
-        alpha_env(s.env, k),
-        alpha_store(s.store, k, alpha_lk_storable),
-        alpha_lk_kont(s.kont, k),
-        alpha_time(s.time, k),
-    )
+    return alpha_fields(s, k)

@@ -19,8 +19,13 @@ the first two machines and an address afterwards.
 
 Policies supply ``tick``/``alloc_*``; both take the state and the
 continuation chosen by the firing rule.  Concrete policies must allocate
-addresses absent from the store and must strictly advance time; the step
-functions assert both.
+addresses absent from the store and must strictly advance time; the
+concrete store semantics checks both and raises ``InvariantError``.
+
+The CESK*t rules are written once, in ``_core_rules``, against a store
+semantics from ``store``: ``step_ceskt`` fires them over exact stores and
+``analysis.step_abstract`` over abstract ones.  ``_concrete_step`` is the
+shared concrete reading of any language's rules.
 """
 
 from __future__ import annotations
@@ -31,17 +36,17 @@ from typing import Callable, Union
 from .store import (
     Addr,
     BindA,
+    CONCRETE_STORE,
     Contour,
     Env,
     EMPTY_MAP,
-    FreshA,
     FrozenMap,
     KontA,
+    MachineStuck,
     Tick,
     Time,
     UpdateA,
     fresh_addr,
-    time_strictly_precedes,
 )
 from .syntax import App, Exp, Lam, Ref
 
@@ -153,12 +158,8 @@ class CESKState:
     kont: Kont
 
 
-@dataclass(frozen=True)
-class CESKStarState:
-    ctrl: Exp
-    env: Env
-    store: FrozenMap
-    kont: Kont
+# The star machine's states have the same fields; only its frames differ.
+CESKStarState = CESKState
 
 
 @dataclass(frozen=True)
@@ -235,8 +236,8 @@ def inject_cesk(e: Exp) -> CESKState:
     return CESKState(e, EMPTY_MAP, EMPTY_MAP, MT)
 
 
-def inject_cesk_star(e: Exp) -> CESKStarState:
-    return CESKStarState(e, EMPTY_MAP, EMPTY_MAP, MT)
+def inject_cesk_star(e: Exp) -> CESKState:
+    return CESKState(e, EMPTY_MAP, EMPTY_MAP, MT)
 
 
 def inject_ceskt(e: Exp, policy=FRESH_POLICY) -> CESKtState:
@@ -285,15 +286,14 @@ def step_cesk(s: CESKState) -> StepOutcome:
             return Next(CESKState(k.exp, k.env, store, Fn(c, env, k.tail)))
         if isinstance(k, Fn):
             addr = fresh_addr(store)
-            assert addr not in store
-            store2 = store.set(addr, Closure(c, env))
+            store2 = CONCRETE_STORE.alloc(store, addr, Closure(c, env))
             return Next(CESKState(k.lam.body, k.env.set(k.lam.param, addr), store2, k.tail))
         if isinstance(k, Mt):
             return Final(Closure(c, env))
     return Stuck(f"no rule for control {c!r}")
 
 
-def step_cesk_star(s: CESKStarState) -> StepOutcome:
+def step_cesk_star(s: CESKState) -> StepOutcome:
     c, env, store, k = s.ctrl, s.env, s.store, s.kont
     if isinstance(c, Ref):
         addr = env.get(c.name)
@@ -302,69 +302,74 @@ def step_cesk_star(s: CESKStarState) -> StepOutcome:
         clo = store.get(addr)
         if not isinstance(clo, Closure):
             return Stuck(f"dangling address {addr!r}")
-        return Next(CESKStarState(clo.lam, clo.env, store, k))
+        return Next(CESKState(clo.lam, clo.env, store, k))
     if isinstance(c, App):
         addr = fresh_addr(store)
-        assert addr not in store
-        store2 = store.set(addr, k)
-        return Next(CESKStarState(c.fun, env, store2, Ar(c.arg, env, addr)))
+        store2 = CONCRETE_STORE.alloc(store, addr, k)
+        return Next(CESKState(c.fun, env, store2, Ar(c.arg, env, addr)))
     if isinstance(c, Lam):
         if isinstance(k, Ar):
-            return Next(CESKStarState(k.exp, k.env, store, Fn(c, env, k.tail)))
+            return Next(CESKState(k.exp, k.env, store, Fn(c, env, k.tail)))
         if isinstance(k, Fn):
             popped = store.get(k.tail)
             if not isinstance(popped, Kont):
                 return Stuck(f"dangling continuation address {k.tail!r}")
             addr = fresh_addr(store)
-            assert addr not in store
-            store2 = store.set(addr, Closure(c, env))
-            return Next(
-                CESKStarState(k.lam.body, k.env.set(k.lam.param, addr), store2, popped)
-            )
+            store2 = CONCRETE_STORE.alloc(store, addr, Closure(c, env))
+            return Next(CESKState(k.lam.body, k.env.set(k.lam.param, addr), store2, popped))
         if isinstance(k, Mt):
             return Final(Closure(c, env))
     return Stuck(f"no rule for control {c!r}")
 
 
-def step_ceskt(s: CESKtState, policy=FRESH_POLICY) -> StepOutcome:
+def is_final_abstract(s: CESKtState) -> bool:
+    """A value facing the empty continuation: final in either reading."""
+    return isinstance(s.ctrl, Lam) and isinstance(s.kont, Mt)
+
+
+def _core_rules(s: CESKtState, sem, policy) -> list:
+    """The CESK*t transitions over store semantics ``sem``, in the
+    deterministic order the abstract fan-out needs."""
     c, env, store, k = s.ctrl, s.env, s.store, s.kont
-
-    def advance(chosen: Kont) -> Time:
-        u = policy.tick(s, chosen)
-        assert time_strictly_precedes(s.time, u), "tick must strictly advance time"
-        return u
-
     if isinstance(c, Ref):
         addr = env.get(c.name)
         if addr is None:
-            return Stuck(f"unbound variable {c.name}")
-        clo = store.get(addr)
-        if not isinstance(clo, Closure):
-            return Stuck(f"dangling address {addr!r}")
-        return Next(CESKtState(clo.lam, clo.env, store, k, advance(k)))
+            return sem.stuck("unbound variable {}", c.name)
+        clos = sem.fetch(store, addr, Closure, "address")
+        u = sem.tick(policy, s, k)
+        return [CESKtState(v.lam, v.env, store, k, u) for v in clos]
     if isinstance(c, App):
-        u = advance(k)
+        u = sem.tick(policy, s, k)
         addr = policy.alloc_kont(c.label, s, k)
-        assert addr not in store, "allocation must be fresh"
-        store2 = store.set(addr, k)
-        return Next(CESKtState(c.fun, env, store2, Ar(c.arg, env, addr), u))
+        return [CESKtState(c.fun, env, sem.alloc(store, addr, k), Ar(c.arg, env, addr), u)]
     if isinstance(c, Lam):
         if isinstance(k, Ar):
-            return Next(CESKtState(k.exp, k.env, store, Fn(c, env, k.tail), advance(k)))
+            return [CESKtState(k.exp, k.env, store, Fn(c, env, k.tail), sem.tick(policy, s, k))]
         if isinstance(k, Fn):
-            popped = store.get(k.tail)
-            if not isinstance(popped, Kont):
-                return Stuck(f"dangling continuation address {k.tail!r}")
-            u = advance(popped)
-            addr = policy.alloc_bind(k.lam.param, s, popped)
-            assert addr not in store, "allocation must be fresh"
-            store2 = store.set(addr, Closure(c, env))
-            return Next(
-                CESKtState(k.lam.body, k.env.set(k.lam.param, addr), store2, popped, u)
-            )
-        if isinstance(k, Mt):
-            return Final(Closure(c, env))
-    return Stuck(f"no rule for control {c!r}")
+            succs = []
+            for popped in sem.fetch(store, k.tail, Kont, "continuation address"):
+                u = sem.tick(policy, s, popped)
+                addr = policy.alloc_bind(k.lam.param, s, popped)
+                store2 = sem.alloc(store, addr, Closure(c, env))
+                succs.append(CESKtState(k.lam.body, k.env.set(k.lam.param, addr), store2, popped, u))
+            return succs
+    return sem.stuck("no rule for control {!r}", c)
+
+
+def _concrete_step(rules, s, *args) -> StepOutcome:
+    """Fire a language's rules over exact stores: one successor, or the
+    reason the machine is stuck.  Callers decide finality first."""
+    try:
+        (succ,) = rules(s, CONCRETE_STORE, *args)
+    except MachineStuck as ex:
+        return Stuck(ex.reason)
+    return Next(succ)
+
+
+def step_ceskt(s: CESKtState, policy=FRESH_POLICY) -> StepOutcome:
+    if is_final_abstract(s):
+        return Final(Closure(s.ctrl, s.env))
+    return _concrete_step(_core_rules, s, policy)
 
 
 # ---------------------------------------------------------------------------

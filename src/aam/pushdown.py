@@ -46,6 +46,7 @@ from .machines import (
 from .store import (
     Addr,
     BindA,
+    CONCRETE_STORE,
     Contour,
     EMPTY_ASTORE,
     EMPTY_MAP,
@@ -57,7 +58,6 @@ from .store import (
     astore_join,
     sort_key,
     store_get,
-    time_strictly_precedes,
 )
 from .syntax import App, CORE_FORMS, Exp, Lam, Ref, check_closed, check_features
 
@@ -354,9 +354,7 @@ def step_pd_trace(s: PdTraceState, policy=FRESH_POLICY) -> StepOutcome:
     c, env, store, stack = s.ctrl, s.env, s.store, s.stack
 
     def advance():
-        u = policy.tick(s, None)
-        assert time_strictly_precedes(s.time, u), "tick must strictly advance time"
-        return u
+        return CONCRETE_STORE.tick(policy, s, None)
 
     if isinstance(c, Ref):
         addr = env.get(c.name)
@@ -377,8 +375,7 @@ def step_pd_trace(s: PdTraceState, policy=FRESH_POLICY) -> StepOutcome:
             return Next(PdTraceState(top.exp, top.env, store, stack2, advance()))
         u = advance()
         addr = policy.alloc_bind(top.lam.param, s, None)
-        assert addr not in store, "allocation must be fresh"
-        store2 = store.set(addr, Closure(c, env))
+        store2 = CONCRETE_STORE.alloc(store, addr, Closure(c, env))
         env2 = top.env.set(top.lam.param, addr)
         return Next(PdTraceState(top.lam.body, env2, store2, stack[:-1], u))
     return Stuck(f"no rule for control {c!r}")
@@ -391,14 +388,7 @@ def run_pd_trace(e: Exp, fuel: int = 10000, policy=FRESH_POLICY) -> Trace:
 def alpha_pd_node(s: PdTraceState, depth: int) -> PdNode:
     """Truncate a concrete companion state into the node space at the
     given binding-contour depth."""
-    from .analysis import alpha_env, alpha_store, alpha_storable_core
+    from .analysis import alpha_fields
 
-    control = PdControl(
-        s.ctrl, alpha_env(s.env, depth), alpha_store(s.store, depth, alpha_storable_core)
-    )
     top = s.stack[-1] if s.stack else None
-    if isinstance(top, ArP):
-        top = ArP(top.exp, alpha_env(top.env, depth))
-    elif isinstance(top, FnP):
-        top = FnP(top.lam, alpha_env(top.env, depth))
-    return PdNode(control, top)
+    return alpha_fields(PdNode(PdControl(s.ctrl, s.env, s.store), top), depth)

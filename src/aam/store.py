@@ -17,6 +17,12 @@ Address families:
   the monovariant (k=0) policy degenerates to
 
 A single run allocates from a single family, chosen by the active policy.
+
+Every language writes its transition rules once, against a store
+semantics.  ``CONCRETE_STORE`` and ``ABSTRACT_STORE`` are the only two:
+the first fetches exactly one storable and checks that allocation is fresh
+and time advances; the second fans a fetch out over a set, joins on every
+write and runs unchecked.
 """
 
 from __future__ import annotations
@@ -33,6 +39,20 @@ class StoreError(Exception):
     pass
 
 
+class InvariantError(AssertionError):
+    """A machine invariant failed (stale allocation, a tick that does not
+    advance time, a second memo write).  Raised explicitly, so the checks
+    still run under ``python -O``."""
+
+
+class MachineStuck(Exception):
+    """A concrete machine has no transition; ``reason`` says why."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
+
 class FrozenMap(Mapping):
     """Immutable hashable map; functional update via set/update/without."""
 
@@ -42,8 +62,24 @@ class FrozenMap(Mapping):
         object.__setattr__(self, "_d", dict(items))
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _adopt(cls, d: dict) -> "FrozenMap":
+        """Wrap a fresh dict that no one else holds, without copying it."""
+        m = cls.__new__(cls)
+        object.__setattr__(m, "_d", d)
+        object.__setattr__(m, "_hash", None)
+        return m
+
     def __getitem__(self, key):
         return self._d[key]
+
+    # Every machine step looks up environments and stores; the Mapping
+    # defaults would go through __getitem__ and catch KeyError.
+    def get(self, key, default=None):
+        return self._d.get(key, default)
+
+    def __contains__(self, key) -> bool:
+        return key in self._d
 
     def __iter__(self):
         return iter(self._d)
@@ -70,20 +106,20 @@ class FrozenMap(Mapping):
     def set(self, key, value) -> "FrozenMap":
         d = dict(self._d)
         d[key] = value
-        return FrozenMap(d)
+        return FrozenMap._adopt(d)
 
     def update(self, items) -> "FrozenMap":
         d = dict(self._d)
         d.update(items)
-        return FrozenMap(d)
+        return FrozenMap._adopt(d)
 
     def without(self, keys) -> "FrozenMap":
         drop = set(keys)
-        return FrozenMap({k: v for k, v in self._d.items() if k not in drop})
+        return FrozenMap._adopt({k: v for k, v in self._d.items() if k not in drop})
 
     def restrict(self, keys) -> "FrozenMap":
         keep = set(keys)
-        return FrozenMap({k: v for k, v in self._d.items() if k in keep})
+        return FrozenMap._adopt({k: v for k, v in self._d.items() if k in keep})
 
 
 EMPTY_MAP = FrozenMap()
@@ -256,7 +292,7 @@ def astore_join(a: FrozenMap, b: FrozenMap) -> FrozenMap:
     for addr, vals in b.items():
         got = d.get(addr)
         d[addr] = vals if got is None else got | vals
-    return FrozenMap(d)
+    return FrozenMap._adopt(d)
 
 
 def astore_leq(a: FrozenMap, b: FrozenMap) -> bool:
@@ -274,3 +310,72 @@ def sort_key(x: Any) -> str:
     string is stable across processes regardless of hash randomization.
     """
     return repr(x)
+
+
+# ---------------------------------------------------------------------------
+# Store semantics: how a concrete and an abstract run read the same rules
+# ---------------------------------------------------------------------------
+
+
+class ConcreteStore:
+    """Exact stores.  A fetch yields the one storable of the expected kind
+    or stops the machine; allocation must be fresh; update overwrites; each
+    tick must strictly advance time."""
+
+    def fetch(self, store: FrozenMap, addr: Addr, kind, what: str) -> tuple:
+        """``what`` names the address's role in the stuck message."""
+        v = store.get(addr)
+        if v is None or not isinstance(v, kind):
+            raise MachineStuck(f"dangling {what} {addr!r}")
+        return (v,)
+
+    def alloc(self, store: FrozenMap, addr: Addr, value) -> FrozenMap:
+        if addr in store:
+            raise InvariantError(f"allocation must be fresh: {addr!r} is taken")
+        return store.set(addr, value)
+
+    def update(self, store: FrozenMap, addr: Addr, value) -> FrozenMap:
+        return store.set(addr, value)
+
+    def holds(self, store: FrozenMap, addr: Addr, kind) -> bool:
+        """Whether the storable at ``addr`` is of the kind."""
+        return isinstance(store.get(addr), kind)
+
+    def tick(self, policy, state, kont) -> Time:
+        t = policy.tick(state, kont)
+        if not time_strictly_precedes(state.time, t):
+            raise InvariantError("tick must strictly advance time")
+        return t
+
+    def stuck(self, reason: str, *args) -> list:
+        """Stop with ``reason.format(*args)``; formatting waits until here
+        because the abstract reading never needs the message."""
+        raise MachineStuck(reason.format(*args))
+
+
+class AbstractStore:
+    """Stores of storable sets.  A fetch fans out over every storable of
+    the expected kind in ``sort_key`` order; allocation and update both
+    join; ticks are unchecked; a state no rule matches has no successors."""
+
+    def fetch(self, store: FrozenMap, addr: Addr, kind, what: str) -> list:
+        return [v for v in sorted(astore_get(store, addr), key=sort_key) if isinstance(v, kind)]
+
+    def alloc(self, store: FrozenMap, addr: Addr, value) -> FrozenMap:
+        return astore_add(store, addr, (value,))
+
+    update = alloc
+
+    def holds(self, store: FrozenMap, addr: Addr, kind) -> bool:
+        """Whether some storable at ``addr`` is of the kind."""
+        return any(isinstance(v, kind) for v in astore_get(store, addr))
+
+    def tick(self, policy, state, kont) -> Time:
+        return policy.tick(state, kont)
+
+    def stuck(self, reason: str, *args) -> list:
+        return []
+
+
+CONCRETE_STORE = ConcreteStore()
+ABSTRACT_STORE = AbstractStore()
