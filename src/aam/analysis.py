@@ -125,9 +125,6 @@ class StateGraph:
     finals: tuple
     initial: int = 0
 
-    def successors_of(self, i: int) -> list[int]:
-        return sorted(j for (src, j) in self.edges if src == i)
-
 
 def explore_states(initial, successors, is_final, order: str = "bfs") -> StateGraph:
     """Generic graph search; the seen set is checked before enqueueing, so

@@ -400,16 +400,7 @@ def _run_abstract(args, program) -> tuple[Model, int]:
                     edges.add((i, j))
         finals = [i for i, s in enumerate(states) if is_final(s)]
         rows = [
-            _row(
-                i,
-                s.ctrl,
-                getattr(s, "env", None),
-                system.store,
-                getattr(s, "kont", None),
-                getattr(s, "time", None),
-                i in finals,
-                abstract=True,
-            )
+            _state_row(i, dataclasses.replace(s, store=system.store), i in finals, abstract=True)
             for i, s in enumerate(states)
         ]
         model = Model(
@@ -429,8 +420,9 @@ def _run_abstract(args, program) -> tuple[Model, int]:
         successors = collecting_successors(successors)
     graph = explore_states(initial, successors, is_final)
     finals = list(graph.finals)
+    final_set = set(finals)
     rows = [
-        _state_row(i, s, final=(i in set(finals)), abstract=True)
+        _state_row(i, s, final=(i in final_set), abstract=True)
         for i, s in enumerate(graph.states)
     ]
     model = Model(

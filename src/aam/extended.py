@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from .analysis import alpha_fields
 from .machines import (
     Closure,
     FRESH_POLICY,
@@ -46,7 +47,6 @@ from .machines import (
 from .store import (
     ABSTRACT_STORE,
     Addr,
-    EMPTY_ASTORE,
     EMPTY_MAP,
     Env,
     FrozenMap,
@@ -196,10 +196,8 @@ def inject_extended(e: Exp, policy=FRESH_POLICY) -> ExtState:
     return ExtState(e, EMPTY_MAP, EMPTY_MAP, MTH, MT, policy.t0)
 
 
-def inject_aext(e: Exp, policy) -> ExtState:
-    check_closed(e)
-    check_features(e, EXTENDED_FORMS, "extended")
-    return ExtState(e, EMPTY_MAP, EMPTY_ASTORE, MTH, MT, policy.t0)
+# The empty abstract store is the empty map.
+inject_aext = inject_extended
 
 
 def control_value(ctrl, env: Env):
@@ -235,7 +233,7 @@ def is_final_ext(s: ExtState) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _ext_rules(s: ExtState, sem, policy) -> list:
+def _ext_rules(s: ExtState, sem, policy, _=None) -> list:
     """The extended machine's transitions over store semantics ``sem``."""
     c, env, store, eta, k = s.ctrl, s.env, s.store, s.handler, s.kont
 
@@ -365,12 +363,5 @@ def step_extended_abstract(s: ExtState, policy) -> list[ExtState]:
     return _ext_rules(s, ABSTRACT_STORE, policy)
 
 
-# ---------------------------------------------------------------------------
-# Truncation into the abstract space
-# ---------------------------------------------------------------------------
-
-
-def alpha_ext_state(s: ExtState, k: int) -> ExtState:
-    from .analysis import alpha_fields
-
-    return alpha_fields(s, k)
+# Truncation into the abstract space: the field walk every language shares.
+alpha_ext_state = alpha_fields

@@ -14,13 +14,17 @@ R, drops granted permissions, and succeeds at the empty continuation (or
 once nothing is left to justify).  Pushed frames start with empty marks;
 refocusing an argument frame into a call frame preserves its marks.
 
-The machine with store-allocated continuations is written once, in
-``_cm_rules``, against a store semantics: ``step_cm_star`` fires it over
-exact stores and ``step_cm_abstract`` over abstract ones.  Its inspection
-predicate is one search over the store-resolved continuation paths: a test
-takes its true branch if some path satisfies OK and its false branch if
-some path refutes OK.  An exact store has one path, so exactly one branch
-is taken; with a merged store both can be.
+The rules are written once, in ``_cm_rules``, against a store semantics
+and an allocation policy.  ``step_cm`` fires them with
+``machines.LINKED_POLICY`` on untimed states, so every frame links to the
+frame below it; ``step_cm_star`` fires them with a store-allocating policy
+and ``step_cm_abstract`` over abstract stores.  Their inspection predicate
+is one search over the store-resolved continuation paths: a test takes its
+true branch if some path satisfies OK and its false branch if some path
+refutes OK.  A linked continuation or an exact store has one path, so
+exactly one branch is taken; with a merged store both can be.  ``ok``, the
+plain walk over one path, is kept as the reference the tests compare
+against.
 
 ``annotate`` applies the static policy: every lambda body is wrapped in a
 frame carrying the given permission set and every grant is intersected
@@ -33,26 +37,24 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Union
 
+from .analysis import alpha_fields
 from .machines import (
     Closure,
     FRESH_POLICY,
     FailFinal,
     Final,
     Kont,
-    Next,
+    LINKED_POLICY,
     StepOutcome,
-    Stuck,
     _concrete_step,
 )
 from .store import (
     ABSTRACT_STORE,
     Addr,
-    EMPTY_ASTORE,
     EMPTY_MAP,
     Env,
     FrozenMap,
     Time,
-    fresh_addr,
 )
 from .syntax import (
     App,
@@ -117,20 +119,18 @@ def mark(kont: Kont, perms: frozenset[str], value: str) -> Kont:
 
 
 @dataclass(frozen=True)
-class CMState:
-    ctrl: Exp
-    env: Env
-    store: FrozenMap
-    kont: Kont
-
-
-@dataclass(frozen=True)
 class CMStarState:
+    """A security-machine state; ``time`` is ``None`` in the linked
+    machine."""
+
     ctrl: Exp
     env: Env
     store: FrozenMap
     kont: Kont
-    time: Time
+    time: Time = None
+
+
+CMState = CMStarState
 
 
 def _validate(e: Exp, universe: frozenset[str]) -> None:
@@ -141,9 +141,9 @@ def _validate(e: Exp, universe: frozenset[str]) -> None:
         raise ValueError(f"permissions {sorted(extra)} are outside the declared universe")
 
 
-def inject_cm(e: Exp, universe: frozenset[str]) -> CMState:
+def inject_cm(e: Exp, universe: frozenset[str]) -> CMStarState:
     _validate(e, universe)
-    return CMState(e, EMPTY_MAP, EMPTY_MAP, MTM)
+    return CMStarState(e, EMPTY_MAP, EMPTY_MAP, MTM)
 
 
 def inject_cm_star(e: Exp, universe: frozenset[str], policy=FRESH_POLICY) -> CMStarState:
@@ -151,9 +151,8 @@ def inject_cm_star(e: Exp, universe: frozenset[str], policy=FRESH_POLICY) -> CMS
     return CMStarState(e, EMPTY_MAP, EMPTY_MAP, MTM, policy.t0)
 
 
-def inject_acm(e: Exp, universe: frozenset[str], policy) -> CMStarState:
-    _validate(e, universe)
-    return CMStarState(e, EMPTY_MAP, EMPTY_ASTORE, MTM, policy.t0)
+# The empty abstract store is the empty map.
+inject_acm = inject_cm_star
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +205,13 @@ def _inspect(perms: frozenset[str], kont: Kont, store: FrozenMap, sem) -> tuple[
         if isinstance(k, MtM) or not r2:
             some_ok = True
             continue
-        key = (r2, k.tail)
-        if key in visited:
-            continue
-        visited.add(key)
+        # A linked tail has one successor, and hashing it would walk the
+        # whole chain, so only stored tails are remembered.
+        if isinstance(k.tail, Addr):
+            key = (r2, k.tail)
+            if key in visited:
+                continue
+            visited.add(key)
         work.extend((r2, nxt) for nxt in sem.fetch(store, k.tail, Kont, "continuation address"))
     return some_ok, some_fail
 
@@ -255,52 +257,12 @@ def annotate(e: Exp, perms: frozenset[str]) -> Exp:
 
 
 # ---------------------------------------------------------------------------
-# Concrete machines
+# The rules, concrete and abstract, linked and stored
 # ---------------------------------------------------------------------------
 
 
 def _is_fail_halt(c: Exp, kont: Kont) -> bool:
     return isinstance(c, Fail) and kont == MTM
-
-
-def step_cm(s: CMState, universe: frozenset[str]) -> StepOutcome:
-    c, env, store, k = s.ctrl, s.env, s.store, s.kont
-    if isinstance(c, Ref):
-        addr = env.get(c.name)
-        if addr is None:
-            return Stuck(f"unbound variable {c.name}")
-        clo = store.get(addr)
-        if not isinstance(clo, Closure):
-            return Stuck(f"dangling address {addr!r}")
-        return Next(CMState(clo.lam, clo.env, store, k))
-    if isinstance(c, App):
-        return Next(CMState(c.fun, env, store, ArM(c.arg, env, EMPTY_MARKS, k)))
-    if isinstance(c, Lam):
-        if isinstance(k, ArM):
-            return Next(CMState(k.exp, k.env, store, FnM(c, env, k.marks, k.tail)))
-        if isinstance(k, FnM):
-            addr = fresh_addr(store)
-            store2 = store.set(addr, Closure(c, env))
-            return Next(CMState(k.lam.body, k.env.set(k.lam.param, addr), store2, k.tail))
-        if isinstance(k, MtM):
-            return Final(Closure(c, env))
-    if isinstance(c, Fail):
-        if _is_fail_halt(c, k):
-            return FailFinal()
-        return Next(CMState(c, env, store, MTM))
-    if isinstance(c, Frame):
-        return Next(CMState(c.body, env, store, mark(k, universe - c.perms, DENY)))
-    if isinstance(c, Grant):
-        return Next(CMState(c.body, env, store, mark(k, c.perms, GRANT)))
-    if isinstance(c, Test):
-        branch = c.then if ok(c.perms, k) else c.other
-        return Next(CMState(branch, env, store, k))
-    return Stuck(f"no rule for control {c!r}")
-
-
-# ---------------------------------------------------------------------------
-# Store-allocated continuations, concrete and abstract
-# ---------------------------------------------------------------------------
 
 
 def is_final_acm(s: CMStarState) -> bool:
@@ -311,9 +273,8 @@ def is_fail_acm(s: CMStarState) -> bool:
     return _is_fail_halt(s.ctrl, s.kont)
 
 
-def _cm_rules(s: CMStarState, sem, universe: frozenset[str], policy) -> list:
-    """The security machine's transitions with store-allocated frames, over
-    store semantics ``sem``."""
+def _cm_rules(s: CMStarState, sem, policy, universe: frozenset[str]) -> list:
+    """The security machine's transitions over store semantics ``sem``."""
     c, env, store, k = s.ctrl, s.env, s.store, s.kont
     if isinstance(c, Ref):
         addr = env.get(c.name)
@@ -321,7 +282,10 @@ def _cm_rules(s: CMStarState, sem, universe: frozenset[str], policy) -> list:
             return sem.stuck("unbound variable {}", c.name)
         clos = sem.fetch(store, addr, Closure, "address")
         u = sem.tick(policy, s, k)
-        return [CMStarState(v.lam, v.env, store, k, u) for v in clos]
+        succs = []
+        for v in clos:
+            succs.append(CMStarState(v.lam, v.env, store, k, u))
+        return succs
     if isinstance(c, App):
         u = sem.tick(policy, s, k)
         addr = policy.alloc_kont(c.label, s, k)
@@ -356,24 +320,28 @@ def _cm_rules(s: CMStarState, sem, universe: frozenset[str], policy) -> list:
     return sem.stuck("no rule for control {!r}", c)
 
 
+def _halt(s: CMStarState) -> Final | FailFinal | None:
+    """How a concrete run ends at ``s``: a value or a security failure
+    facing the empty continuation, or None when ``s`` steps on."""
+    if isinstance(s.kont, MtM):
+        if isinstance(s.ctrl, Lam):
+            return Final(Closure(s.ctrl, s.env))
+        if _is_fail_halt(s.ctrl, s.kont):
+            return FailFinal()
+    return None
+
+
+def step_cm(s: CMStarState, universe: frozenset[str]) -> StepOutcome:
+    return _halt(s) or _concrete_step(_cm_rules, s, LINKED_POLICY, universe)
+
+
 def step_cm_star(s: CMStarState, universe: frozenset[str], policy=FRESH_POLICY) -> StepOutcome:
-    if is_fail_acm(s):
-        return FailFinal()
-    if is_final_acm(s):
-        return Final(Closure(s.ctrl, s.env))
-    return _concrete_step(_cm_rules, s, universe, policy)
+    return _halt(s) or _concrete_step(_cm_rules, s, policy, universe)
 
 
 def step_cm_abstract(s: CMStarState, universe: frozenset[str], policy) -> list[CMStarState]:
-    return _cm_rules(s, ABSTRACT_STORE, universe, policy)
+    return _cm_rules(s, ABSTRACT_STORE, policy, universe)
 
 
-# ---------------------------------------------------------------------------
-# Truncation into the abstract space
-# ---------------------------------------------------------------------------
-
-
-def alpha_cm_state(s: CMStarState, k: int) -> CMStarState:
-    from .analysis import alpha_fields
-
-    return alpha_fields(s, k)
+# Truncation into the abstract space: the field walk every language shares.
+alpha_cm_state = alpha_fields

@@ -20,34 +20,34 @@ Three concrete variants share the value rules and differ at application:
               lambda operand is stored already Computed
 * postponed   the operand rides the frame and is allocated at binding time
 
-``step_lk`` drives linked frames.  The machine with store-allocated frames
-under an allocation policy is written once, in ``_lk_rules``, against a
-store semantics: ``step_lk_star`` fires it over exact stores and
-``step_lk_star_abstract`` over abstract ones (joins and fan-outs).
+The rules are written once, in ``_lk_rules``, against a store semantics
+and an allocation policy.  ``step_lk`` fires them with
+``machines.LINKED_POLICY`` on untimed states, so every frame links to the
+frame below it; ``step_lk_star`` fires them with a store-allocating policy,
+so every frame's tail is an address; ``step_lk_star_abstract`` fires them
+over abstract stores (joins and fan-outs).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Union
 
+from .analysis import alpha_fields
 from .machines import (
     Closure,
     FRESH_POLICY,
     Final,
     Kont,
+    LINKED_POLICY,
     MT,
-    Mt,
-    Next,
     StepOutcome,
-    Stuck,
     _concrete_step,
+    is_final_abstract,
 )
 from .store import (
     ABSTRACT_STORE,
     Addr,
-    EMPTY_ASTORE,
     EMPTY_MAP,
     Env,
     FrozenMap,
@@ -55,7 +55,6 @@ from .store import (
     TAG_KONT,
     TAG_THUNK,
     Time,
-    fresh_addr,
 )
 from .syntax import App, CORE_FORMS, Exp, Lam, Ref, check_closed, check_features
 
@@ -109,26 +108,23 @@ class ApplyExpK(Kont):
 
 
 @dataclass(frozen=True)
-class LKState:
-    ctrl: Exp
-    env: Env
-    store: FrozenMap
-    kont: Kont
-
-
-@dataclass(frozen=True)
 class LKStarState:
+    """A by-need state; ``time`` is ``None`` in the linked machine."""
+
     ctrl: Exp
     env: Env
     store: FrozenMap
     kont: Kont
-    time: Time
+    time: Time = None
 
 
-def inject_lk(e: Exp) -> LKState:
+LKState = LKStarState
+
+
+def inject_lk(e: Exp) -> LKStarState:
     check_closed(e)
     check_features(e, CORE_FORMS, "lazy")
-    return LKState(e, EMPTY_MAP, EMPTY_MAP, MT)
+    return LKStarState(e, EMPTY_MAP, EMPTY_MAP, MT)
 
 
 def inject_lk_star(e: Exp, policy=FRESH_POLICY) -> LKStarState:
@@ -137,74 +133,20 @@ def inject_lk_star(e: Exp, policy=FRESH_POLICY) -> LKStarState:
     return LKStarState(e, EMPTY_MAP, EMPTY_MAP, MT, policy.t0)
 
 
-def inject_alk(e: Exp, policy) -> LKStarState:
-    check_closed(e)
-    check_features(e, CORE_FORMS, "lazy")
-    return LKStarState(e, EMPTY_MAP, EMPTY_ASTORE, MT, policy.t0)
+# The empty abstract store is the empty map.
+inject_alk = inject_lk_star
 
 
 # ---------------------------------------------------------------------------
-# Concrete machine, linked frames
+# The rules, concrete and abstract, linked and stored
 # ---------------------------------------------------------------------------
 
 
-def step_lk(s: LKState, variant: str = "standard") -> StepOutcome:
-    c, env, store, k = s.ctrl, s.env, s.store, s.kont
-    if isinstance(c, Ref):
-        addr = env.get(c.name)
-        if addr is None:
-            return Stuck(f"unbound variable {c.name}")
-        thunk = store.get(addr)
-        if isinstance(thunk, Delayed):
-            return Next(LKState(thunk.exp, thunk.env, store, UpdateK(addr, k)))
-        if isinstance(thunk, Computed):
-            return Next(LKState(thunk.lam, thunk.env, store, k))
-        return Stuck(f"dangling address {addr!r}")
-    if isinstance(c, App):
-        if variant == "opt" and isinstance(c.arg, Ref):
-            addr = env.get(c.arg.name)
-            if addr is None:
-                return Stuck(f"unbound variable {c.arg.name}")
-            return Next(LKState(c.fun, env, store, ApplyK(addr, k)))
-        if variant == "opt" and isinstance(c.arg, Lam):
-            addr = fresh_addr(store)
-            return Next(
-                LKState(c.fun, env, store.set(addr, Computed(c.arg, env)), ApplyK(addr, k))
-            )
-        if variant == "postponed":
-            return Next(LKState(c.fun, env, store, ApplyExpK(c.arg, env, k)))
-        addr = fresh_addr(store)
-        return Next(
-            LKState(c.fun, env, store.set(addr, Delayed(c.arg, env)), ApplyK(addr, k))
-        )
-    if isinstance(c, Lam):
-        if isinstance(k, UpdateK):
-            if not isinstance(store.get(k.target), Delayed):
-                raise InvariantError("memo write must be the first")
-            return Next(LKState(c, env, store.set(k.target, Computed(c, env)), k.tail))
-        if isinstance(k, ApplyK):
-            return Next(LKState(c.body, env.set(c.param, k.arg), store, k.tail))
-        if isinstance(k, ApplyExpK):
-            addr = fresh_addr(store)
-            store2 = store.set(addr, Delayed(k.exp, k.env))
-            return Next(LKState(c.body, env.set(c.param, addr), store2, k.tail))
-        if isinstance(k, Mt):
-            return Final(Closure(c, env))
-    return Stuck(f"no rule for control {c!r}")
-
-
-# ---------------------------------------------------------------------------
-# Store-allocated frames, concrete and abstract
-# ---------------------------------------------------------------------------
-
-
-def is_final_alk(s: LKStarState) -> bool:
-    return isinstance(s.ctrl, Lam) and isinstance(s.kont, Mt)
+is_final_alk = is_final_abstract
 
 
 def _lk_rules(s: LKStarState, sem, policy, variant: str) -> list:
-    """The by-need transitions with store-allocated frames, over store
-    semantics ``sem``."""
+    """The by-need transitions over store semantics ``sem``."""
     c, env, store, k = s.ctrl, s.env, s.store, s.kont
     if isinstance(c, Ref):
         addr = env.get(c.name)
@@ -223,36 +165,36 @@ def _lk_rules(s: LKStarState, sem, policy, variant: str) -> list:
         return succs
     if isinstance(c, App):
         u = sem.tick(policy, s, k)
+        ka = policy.alloc_kont(c.label, s, k, TAG_KONT)
+        store1 = sem.alloc(store, ka, k)
         if variant == "opt" and isinstance(c.arg, Ref):
             addr = env.get(c.arg.name)
             if addr is None:
                 return sem.stuck("unbound variable {}", c.arg.name)
-            ka = policy.alloc_kont(c.label, s, k, TAG_KONT)
-            return [LKStarState(c.fun, env, sem.alloc(store, ka, k), ApplyK(addr, ka), u)]
+            return [LKStarState(c.fun, env, store1, ApplyK(addr, ka), u)]
         if variant == "postponed":
-            ka = policy.alloc_kont(c.label, s, k, TAG_KONT)
-            frame = ApplyExpK(c.arg, env, ka)
-            return [LKStarState(c.fun, env, sem.alloc(store, ka, k), frame, u)]
+            return [LKStarState(c.fun, env, store1, ApplyExpK(c.arg, env, ka), u)]
         if variant == "opt" and isinstance(c.arg, Lam):
             entry = Computed(c.arg, env)
         else:
             entry = Delayed(c.arg, env)
-        ta = policy.alloc_kont(c.label, s, k, TAG_THUNK)
-        store2 = sem.alloc(store, ta, entry)
-        # a store-scanning allocator must see the thunk to pick another address
-        ka = policy.alloc_kont(c.label, dataclasses.replace(s, store=store2), k, TAG_KONT)
-        return [LKStarState(c.fun, env, sem.alloc(store2, ka, k), ApplyK(ta, ka), u)]
+        # A store-scanning allocator must see the stored frame to pick
+        # another address; a linked frame leaves the store as it was.
+        s1 = s if store1 is store else LKStarState(c, env, store1, k, s.time)
+        ta = policy.alloc_kont(c.label, s1, k, TAG_THUNK)
+        return [LKStarState(c.fun, env, sem.alloc(store1, ta, entry), ApplyK(ta, ka), u)]
     if isinstance(c, Lam) and isinstance(k, (UpdateK, ApplyK, ApplyExpK)):
         popped_all = sem.fetch(store, k.tail, Kont, "continuation address")
         if isinstance(k, UpdateK):
             if not sem.holds(store, k.target, Delayed):
                 raise InvariantError("memo write must be the first")
-            store2 = sem.update(store, k.target, Computed(c, env))
-            return [LKStarState(c, env, store2, p, sem.tick(policy, s, p)) for p in popped_all]
+            memo = sem.update(store, k.target, Computed(c, env))
         succs = []
         for popped in popped_all:
             u = sem.tick(policy, s, popped)
-            if isinstance(k, ApplyK):
+            if isinstance(k, UpdateK):
+                succs.append(LKStarState(c, env, memo, popped, u))
+            elif isinstance(k, ApplyK):
                 succs.append(LKStarState(c.body, env.set(c.param, k.arg), store, popped, u))
             else:
                 addr = policy.alloc_bind(c.param, s, popped)
@@ -262,8 +204,14 @@ def _lk_rules(s: LKStarState, sem, policy, variant: str) -> list:
     return sem.stuck("no rule for control {!r}", c)
 
 
+def step_lk(s: LKStarState, variant: str = "standard") -> StepOutcome:
+    if is_final_abstract(s):
+        return Final(Closure(s.ctrl, s.env))
+    return _concrete_step(_lk_rules, s, LINKED_POLICY, variant)
+
+
 def step_lk_star(s: LKStarState, policy=FRESH_POLICY, variant: str = "standard") -> StepOutcome:
-    if is_final_alk(s):
+    if is_final_abstract(s):
         return Final(Closure(s.ctrl, s.env))
     return _concrete_step(_lk_rules, s, policy, variant)
 
@@ -272,12 +220,5 @@ def step_lk_star_abstract(s: LKStarState, policy, variant: str = "standard") -> 
     return _lk_rules(s, ABSTRACT_STORE, policy, variant)
 
 
-# ---------------------------------------------------------------------------
-# Truncation into the abstract space
-# ---------------------------------------------------------------------------
-
-
-def alpha_lk_state(s: LKStarState, k: int) -> LKStarState:
-    from .analysis import alpha_fields
-
-    return alpha_fields(s, k)
+# Truncation into the abstract space: the field walk every language shares.
+alpha_lk_state = alpha_fields

@@ -14,18 +14,28 @@ refines one machine into the next:
 
 Frames:  Mt is the empty continuation; Ar(e, env, tail) waits for an
 operator value with the operand pending; Fn(lam, env, tail) waits for the
-operand value with the operator closure in hand.  ``tail`` is a frame in
-the first two machines and an address afterwards.
+operand value with the operator closure in hand.  ``tail`` is the frame
+itself when frames are linked and an address when they are stored.
 
 Policies supply ``tick``/``alloc_*``; both take the state and the
 continuation chosen by the firing rule.  Concrete policies must allocate
 addresses absent from the store and must strictly advance time; the
 concrete store semantics checks both and raises ``InvariantError``.
 
-The CESK*t rules are written once, in ``_core_rules``, against a store
-semantics from ``store``: ``step_ceskt`` fires them over exact stores and
-``analysis.step_abstract`` over abstract ones.  ``_concrete_step`` is the
-shared concrete reading of any language's rules.
+* ``FRESH_POLICY``       numeric addresses (max-plus-one) and an integer
+                         clock
+* ``TIME_KEYED_POLICY``  addresses that embed unbounded label contours
+* ``LINKED_POLICY``      ``FRESH_POLICY`` with every continuation frame
+                         allocated at itself, so frames link to frames
+* ``analysis.KCFAPolicy`` the bounded policies of the abstract machines
+
+The rules of CESK, CESK* and CESK*t are written once, in ``_core_rules``,
+against a store semantics from ``store``.  The three machines differ only
+in their policy and in whether their states carry a time: ``step_cesk``
+fires the rules with ``LINKED_POLICY`` on untimed states, ``step_cesk_star``
+with ``FRESH_POLICY`` on untimed states, ``step_ceskt`` with any concrete
+policy on timed ones, and ``analysis.step_abstract`` over abstract stores.
+``_concrete_step`` is the shared concrete reading of any language's rules.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from .store import (
     FrozenMap,
     KontA,
     MachineStuck,
+    TAG_THUNK,
     Tick,
     Time,
     UpdateA,
@@ -151,24 +162,19 @@ class CEKState:
 
 
 @dataclass(frozen=True)
-class CESKState:
-    ctrl: Exp
-    env: Env
-    store: FrozenMap
-    kont: Kont
-
-
-# The star machine's states have the same fields; only its frames differ.
-CESKStarState = CESKState
-
-
-@dataclass(frozen=True)
 class CESKtState:
+    """A state of the store machines; ``time`` is ``None`` in the untimed
+    CESK and CESK* machines."""
+
     ctrl: Exp
     env: Env
     store: FrozenMap
     kont: Kont
-    time: Time
+    time: Time = None
+
+
+# CESK and CESK* states are untimed CESK*t states; only their frames differ.
+CESKState = CESKStarState = CESKtState
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +225,21 @@ class TimeKeyedPolicy:
         return UpdateA(var, self.tick(state, kont))
 
 
+class LinkedPolicy(FreshTickPolicy):
+    """Linked frames: a continuation frame is allocated at itself, so the
+    frame pushed on top of it holds it as its tail and the store never
+    sees it.  Bindings and thunks get numeric addresses."""
+
+    def alloc_kont(self, site: int, state, kont, tag: str = "kont"):
+        return fresh_addr(state.store) if tag == TAG_THUNK else kont
+
+    def alloc_update(self, var: str, state, kont):
+        return kont
+
+
 FRESH_POLICY = FreshTickPolicy()
 TIME_KEYED_POLICY = TimeKeyedPolicy()
+LINKED_POLICY = LinkedPolicy()
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +251,11 @@ def inject_cek(e: Exp) -> CEKState:
     return CEKState(e, EMPTY_MAP, MT)
 
 
-def inject_cesk(e: Exp) -> CESKState:
-    return CESKState(e, EMPTY_MAP, EMPTY_MAP, MT)
+def inject_cesk(e: Exp) -> CESKtState:
+    return CESKtState(e, EMPTY_MAP, EMPTY_MAP, MT)
 
 
-def inject_cesk_star(e: Exp) -> CESKState:
-    return CESKState(e, EMPTY_MAP, EMPTY_MAP, MT)
+inject_cesk_star = inject_cesk
 
 
 def inject_ceskt(e: Exp, policy=FRESH_POLICY) -> CESKtState:
@@ -269,65 +287,12 @@ def step_cek(s: CEKState) -> StepOutcome:
     return Stuck(f"no rule for control {c!r}")
 
 
-def step_cesk(s: CESKState) -> StepOutcome:
-    c, env, store, k = s.ctrl, s.env, s.store, s.kont
-    if isinstance(c, Ref):
-        addr = env.get(c.name)
-        if addr is None:
-            return Stuck(f"unbound variable {c.name}")
-        clo = store.get(addr)
-        if not isinstance(clo, Closure):
-            return Stuck(f"dangling address {addr!r}")
-        return Next(CESKState(clo.lam, clo.env, store, k))
-    if isinstance(c, App):
-        return Next(CESKState(c.fun, env, store, Ar(c.arg, env, k)))
-    if isinstance(c, Lam):
-        if isinstance(k, Ar):
-            return Next(CESKState(k.exp, k.env, store, Fn(c, env, k.tail)))
-        if isinstance(k, Fn):
-            addr = fresh_addr(store)
-            store2 = CONCRETE_STORE.alloc(store, addr, Closure(c, env))
-            return Next(CESKState(k.lam.body, k.env.set(k.lam.param, addr), store2, k.tail))
-        if isinstance(k, Mt):
-            return Final(Closure(c, env))
-    return Stuck(f"no rule for control {c!r}")
-
-
-def step_cesk_star(s: CESKState) -> StepOutcome:
-    c, env, store, k = s.ctrl, s.env, s.store, s.kont
-    if isinstance(c, Ref):
-        addr = env.get(c.name)
-        if addr is None:
-            return Stuck(f"unbound variable {c.name}")
-        clo = store.get(addr)
-        if not isinstance(clo, Closure):
-            return Stuck(f"dangling address {addr!r}")
-        return Next(CESKState(clo.lam, clo.env, store, k))
-    if isinstance(c, App):
-        addr = fresh_addr(store)
-        store2 = CONCRETE_STORE.alloc(store, addr, k)
-        return Next(CESKState(c.fun, env, store2, Ar(c.arg, env, addr)))
-    if isinstance(c, Lam):
-        if isinstance(k, Ar):
-            return Next(CESKState(k.exp, k.env, store, Fn(c, env, k.tail)))
-        if isinstance(k, Fn):
-            popped = store.get(k.tail)
-            if not isinstance(popped, Kont):
-                return Stuck(f"dangling continuation address {k.tail!r}")
-            addr = fresh_addr(store)
-            store2 = CONCRETE_STORE.alloc(store, addr, Closure(c, env))
-            return Next(CESKState(k.lam.body, k.env.set(k.lam.param, addr), store2, popped))
-        if isinstance(k, Mt):
-            return Final(Closure(c, env))
-    return Stuck(f"no rule for control {c!r}")
-
-
 def is_final_abstract(s: CESKtState) -> bool:
     """A value facing the empty continuation: final in either reading."""
     return isinstance(s.ctrl, Lam) and isinstance(s.kont, Mt)
 
 
-def _core_rules(s: CESKtState, sem, policy) -> list:
+def _core_rules(s: CESKtState, sem, policy, _=None) -> list:
     """The CESK*t transitions over store semantics ``sem``, in the
     deterministic order the abstract fan-out needs."""
     c, env, store, k = s.ctrl, s.env, s.store, s.kont
@@ -337,7 +302,12 @@ def _core_rules(s: CESKtState, sem, policy) -> list:
             return sem.stuck("unbound variable {}", c.name)
         clos = sem.fetch(store, addr, Closure, "address")
         u = sem.tick(policy, s, k)
-        return [CESKtState(v.lam, v.env, store, k, u) for v in clos]
+        # A loop rather than a comprehension, which Python 3.11 runs as a
+        # separate call; this rule fires on every variable reference.
+        succs = []
+        for v in clos:
+            succs.append(CESKtState(v.lam, v.env, store, k, u))
+        return succs
     if isinstance(c, App):
         u = sem.tick(policy, s, k)
         addr = policy.alloc_kont(c.label, s, k)
@@ -356,14 +326,31 @@ def _core_rules(s: CESKtState, sem, policy) -> list:
     return sem.stuck("no rule for control {!r}", c)
 
 
-def _concrete_step(rules, s, *args) -> StepOutcome:
+def _concrete_step(rules, s, policy, arg=None) -> StepOutcome:
     """Fire a language's rules over exact stores: one successor, or the
-    reason the machine is stuck.  Callers decide finality first."""
+    reason the machine is stuck.  Callers decide finality first.
+
+    Every language's rules take the state, a store semantics, a policy and
+    one language parameter (the by-need variant, the permission universe)
+    that the core and extended languages ignore; a fixed arity keeps the
+    call off Python's slow argument-unpacking path."""
     try:
-        (succ,) = rules(s, CONCRETE_STORE, *args)
+        (succ,) = rules(s, CONCRETE_STORE, policy, arg)
     except MachineStuck as ex:
         return Stuck(ex.reason)
     return Next(succ)
+
+
+def step_cesk(s: CESKtState) -> StepOutcome:
+    if is_final_abstract(s):
+        return Final(Closure(s.ctrl, s.env))
+    return _concrete_step(_core_rules, s, LINKED_POLICY)
+
+
+def step_cesk_star(s: CESKtState) -> StepOutcome:
+    if is_final_abstract(s):
+        return Final(Closure(s.ctrl, s.env))
+    return _concrete_step(_core_rules, s, FRESH_POLICY)
 
 
 def step_ceskt(s: CESKtState, policy=FRESH_POLICY) -> StepOutcome:

@@ -23,6 +23,13 @@ semantics.  ``CONCRETE_STORE`` and ``ABSTRACT_STORE`` are the only two:
 the first fetches exactly one storable and checks that allocation is fresh
 and time advances; the second fans a fetch out over a set, joins on every
 write and runs unchecked.
+
+A concrete "address" that is not an ``Addr`` is a continuation frame
+allocated at itself: fetching it yields the frame, and storing the frame
+there leaves the store alone.  That is how a linked continuation reads the
+rules written for store-allocated ones; the allocation policy decides which
+frames are linked.  A concrete state whose time is ``None`` is untimed and
+stays so.
 """
 
 from __future__ import annotations
@@ -59,15 +66,15 @@ class FrozenMap(Mapping):
     __slots__ = ("_d", "_hash")
 
     def __init__(self, items: Mapping | Iterator | tuple = ()):
-        object.__setattr__(self, "_d", dict(items))
-        object.__setattr__(self, "_hash", None)
+        self._d = dict(items)
+        self._hash = None
 
     @classmethod
     def _adopt(cls, d: dict) -> "FrozenMap":
         """Wrap a fresh dict that no one else holds, without copying it."""
         m = cls.__new__(cls)
-        object.__setattr__(m, "_d", d)
-        object.__setattr__(m, "_hash", None)
+        m._d = d
+        m._hash = None
         return m
 
     def __getitem__(self, key):
@@ -89,7 +96,7 @@ class FrozenMap(Mapping):
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(frozenset(self._d.items())))
+            self._hash = hash(frozenset(self._d.items()))
         return self._hash
 
     def __eq__(self, other) -> bool:
@@ -320,16 +327,21 @@ def sort_key(x: Any) -> str:
 class ConcreteStore:
     """Exact stores.  A fetch yields the one storable of the expected kind
     or stops the machine; allocation must be fresh; update overwrites; each
-    tick must strictly advance time."""
+    tick of a timed state must strictly advance time.  A frame is its own
+    address when the policy links it (see the module docstring)."""
 
     def fetch(self, store: FrozenMap, addr: Addr, kind, what: str) -> tuple:
         """``what`` names the address's role in the stuck message."""
+        if not isinstance(addr, Addr):
+            return (addr,)
         v = store.get(addr)
         if v is None or not isinstance(v, kind):
             raise MachineStuck(f"dangling {what} {addr!r}")
         return (v,)
 
     def alloc(self, store: FrozenMap, addr: Addr, value) -> FrozenMap:
+        if addr is value:
+            return store
         if addr in store:
             raise InvariantError(f"allocation must be fresh: {addr!r} is taken")
         return store.set(addr, value)
@@ -341,7 +353,9 @@ class ConcreteStore:
         """Whether the storable at ``addr`` is of the kind."""
         return isinstance(store.get(addr), kind)
 
-    def tick(self, policy, state, kont) -> Time:
+    def tick(self, policy, state, kont) -> Time | None:
+        if state.time is None:
+            return None
         t = policy.tick(state, kont)
         if not time_strictly_precedes(state.time, t):
             raise InvariantError("tick must strictly advance time")

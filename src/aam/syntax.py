@@ -276,12 +276,12 @@ class _Parser:
         return App(lbl, fun, arg)
 
     def parse_perm_set(self) -> frozenset[str]:
-        self.expect("(")
+        _, open_line, open_col = self.expect("(")
         perms = []
         while True:
             t = self.toks.peek()
             if t is None:
-                raise ParseError("unterminated permission set", 1, 1)
+                raise ParseError("unterminated permission set", open_line, open_col)
             if t[0] == ")":
                 self.toks.next()
                 return frozenset(perms)

@@ -121,6 +121,11 @@ class TestParse:
             parse("(lambda (x)\n  (y)))")
         assert exc.value.line >= 1 and exc.value.col >= 1
 
+    def test_unterminated_permission_set_points_at_its_parenthesis(self):
+        with pytest.raises(ParseError, match="unterminated permission set") as exc:
+            parse("\n\n  (frame (p q")
+        assert (exc.value.line, exc.value.col) == (3, 10)
+
     def test_comments_are_skipped(self):
         e = parse("; leading note\n(lambda (x) x) ; trailing\n")
         assert isinstance(e, Lam)
