@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
 
 from .machines import (
     CESKtState,
@@ -62,7 +61,7 @@ from .store import (
     astore_leq,
     sort_key,
 )
-from .syntax import App, CORE_FORMS, Exp, Lam, Ref, check_closed, check_features
+from .syntax import App, CORE_FORMS, Exp, Lam, Ref, _field_names, check_closed, check_features
 
 # Abstract states have the concrete time-stamped machine's fields; only the
 # store they carry is read differently.
@@ -128,27 +127,26 @@ class StateGraph:
 
 def explore_states(initial, successors, is_final, order: str = "bfs") -> StateGraph:
     """Generic graph search; the seen set is checked before enqueueing, so
-    any worklist discipline yields the same state and edge sets."""
+    any worklist discipline yields the same state and edge sets.  Each
+    successor is hashed once: a single ``setdefault`` both looks it up and,
+    if it is new, numbers it, and the worklist holds indices."""
     index = {initial: 0}
     states = [initial]
     edges: set[tuple[int, int]] = set()
     finals: list[int] = []
     if is_final(initial):
         finals.append(0)
-    queue = deque([initial])
+    queue = deque([0])
     pop = queue.popleft if order == "bfs" else queue.pop
     while queue:
-        s = pop()
-        i = index[s]
-        for t in successors(s):
-            j = index.get(t)
-            if j is None:
-                j = len(states)
-                index[t] = j
+        i = pop()
+        for t in successors(states[i]):
+            j = index.setdefault(t, len(states))
+            if j == len(states):
                 states.append(t)
                 if is_final(t):
                     finals.append(j)
-                queue.append(t)
+                queue.append(j)
             edges.add((i, j))
     return StateGraph(tuple(states), frozenset(edges), tuple(sorted(finals)))
 
@@ -185,11 +183,6 @@ def alpha_addr(a: Addr, k: int) -> Addr:
 
 def alpha_env(env: Env, k: int) -> Env:
     return FrozenMap({x: alpha_addr(a, k) for x, a in env.items()})
-
-
-@cache
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def alpha_fields(x, k: int):

@@ -12,7 +12,8 @@ and kcfa 0cfa alk acm aext pushdown (abstract).
 Exit codes: 0 on success (including fuel exhaustion and security failure),
 1 on parse errors, 2 on configuration errors (bad flag combinations,
 programs outside the machine's language, open programs), 3 when a concrete
-machine gets stuck.
+machine gets stuck, 4 when an internal invariant is violated (a bug in the
+package, reported in one line).
 
 All emitted formats are byte-deterministic for a fixed configuration and
 input: states appear in first-discovery order and every set is rendered
@@ -56,6 +57,7 @@ from .store import (
     Addr,
     BindA,
     FrozenMap,
+    InvariantError,
     MonoBindA,
     MonoUpdateA,
     UpdateA,
@@ -558,6 +560,9 @@ def run(argv=None) -> int:
     except (ConfigError, FeatureError, ValueError) as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return 2
+    except InvariantError as ex:
+        print(f"internal error: invariant violated: {ex}", file=sys.stderr)
+        return 4
     print(EMITTERS[args.format](model))
     return code
 

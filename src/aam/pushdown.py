@@ -193,14 +193,16 @@ def _saturate(
     collected = global_store if global_store is not None else EMPTY_ASTORE
     work: deque[tuple] = deque()
 
-    def add_node(n: PdNode) -> None:
-        if n not in index:
-            index[n] = len(order)
+    def add_node(n: PdNode) -> int:
+        """The node's index, numbering it first if it is new."""
+        i = index.setdefault(n, len(order))
+        if i == len(order):
             order.append(n)
             parents[n] = set()
             eps_out[n] = set()
             pops[n] = set()
-            work.append(("node", n))
+            work.append(("node", i))
+        return i
 
     def add_parent(n: PdNode, p: PdNode) -> None:
         if p not in parents[n]:
@@ -210,49 +212,47 @@ def _saturate(
     def add_eps(src: PdNode, dst: PdNode) -> None:
         if dst not in eps_out[src]:
             eps_out[src].add(dst)
-            for p in sorted(parents[src], key=repr):
+            for p in sorted(parents[src], key=sort_key):
                 add_parent(dst, p)
 
     def fire_pop(n: PdNode, ctrl2: PdControl, p: PdNode) -> None:
         ret = PdNode(ctrl2, p.top)
-        add_node(ret)
-        edges.add((index[n], index[ret], "pop"))
-        edges.add((index[p], index[ret], "summary"))
+        r = add_node(ret)
+        edges.add((index[n], r, "pop"))
+        edges.add((index[p], r, "summary"))
         add_eps(p, ret)
 
     add_node(init)
     while work:
         event = work.popleft()
         if event[0] == "node":
-            n = event[1]
+            i = event[1]
+            n = order[i]
             for ctrl2, action, frame in step_pushdown(n.control, n.top, policy):
                 if global_store is not None and ctrl2.store is not n.control.store:
                     collected = astore_join(collected, ctrl2.store)
                     ctrl2 = PdControl(ctrl2.exp, ctrl2.env, n.control.store)
                 if action == "push":
                     n2 = PdNode(ctrl2, frame)
-                    add_node(n2)
-                    edges.add((index[n], index[n2], "push"))
+                    edges.add((i, add_node(n2), "push"))
                     add_parent(n2, n)
                 elif action == "swap":
                     n2 = PdNode(ctrl2, frame)
-                    add_node(n2)
-                    edges.add((index[n], index[n2], "eps"))
+                    edges.add((i, add_node(n2), "eps"))
                     add_eps(n, n2)
                 elif action == "none":
                     n2 = PdNode(ctrl2, n.top)
-                    add_node(n2)
-                    edges.add((index[n], index[n2], "eps"))
+                    edges.add((i, add_node(n2), "eps"))
                     add_eps(n, n2)
                 else:
                     pops[n].add(ctrl2)
-                    for p in sorted(parents[n], key=repr):
+                    for p in sorted(parents[n], key=sort_key):
                         fire_pop(n, ctrl2, p)
         else:
             _tag, n, p = event
-            for dst in sorted(eps_out[n], key=repr):
+            for dst in sorted(eps_out[n], key=sort_key):
                 add_parent(dst, p)
-            for ctrl2 in sorted(pops[n], key=repr):
+            for ctrl2 in sorted(pops[n], key=sort_key):
                 fire_pop(n, ctrl2, p)
 
     finals = tuple(i for i, n in enumerate(order) if is_final_node(n))

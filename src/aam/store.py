@@ -60,8 +60,19 @@ class MachineStuck(Exception):
         self.reason = reason
 
 
+_ABSENT = object()
+
+
 class FrozenMap(Mapping):
-    """Immutable hashable map; functional update via set/update/without."""
+    """Immutable hashable map; functional update via set/update/without.
+
+    The hash is the sum of the hashes of the ``(key, value)`` items, so it
+    does not depend on insertion order and can be kept up to date.  It is
+    computed on first use.  ``set`` on a map whose hash is known derives
+    the new map's hash in O(1): it subtracts the replaced item's hash and
+    adds the new one's.  A map nothing ever hashed (a concrete store) pays
+    one ``None`` check for this.  The other updates leave the hash to be
+    computed lazily."""
 
     __slots__ = ("_d", "_hash")
 
@@ -70,11 +81,12 @@ class FrozenMap(Mapping):
         self._hash = None
 
     @classmethod
-    def _adopt(cls, d: dict) -> "FrozenMap":
-        """Wrap a fresh dict that no one else holds, without copying it."""
+    def _adopt(cls, d: dict, h: int | None = None) -> "FrozenMap":
+        """Wrap a fresh dict that no one else holds, without copying it;
+        ``h`` is its hash when the caller already knows it."""
         m = cls.__new__(cls)
         m._d = d
-        m._hash = None
+        m._hash = h
         return m
 
     def __getitem__(self, key):
@@ -96,7 +108,7 @@ class FrozenMap(Mapping):
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._d.items()))
+            self._hash = sum(map(hash, self._d.items()))
         return self._hash
 
     def __eq__(self, other) -> bool:
@@ -112,8 +124,14 @@ class FrozenMap(Mapping):
 
     def set(self, key, value) -> "FrozenMap":
         d = dict(self._d)
+        h = self._hash
+        if h is not None:
+            old = d.get(key, _ABSENT)
+            if old is not _ABSENT:
+                h -= hash((key, old))
+            h += hash((key, value))
         d[key] = value
-        return FrozenMap._adopt(d)
+        return FrozenMap._adopt(d, h)
 
     def update(self, items) -> "FrozenMap":
         d = dict(self._d)

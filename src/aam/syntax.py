@@ -23,14 +23,18 @@ permission universe used by the stack-inspection machines.
 Every parsed node carries an integer label assigned in preorder and unique
 within its tree.  The label is the node's identity: two textually equal
 subterms at different positions are distinct expressions, and machine
-addresses key on labels rather than on term text.  Equality and hashing
-include the label.
+addresses key on labels rather than on term text.  Equality is
+structural and includes the label; hashing is by node kind and label alone,
+so it costs the same for a leaf and for a whole program, and equal nodes
+still hash equal.  Each node renders its text and computes its free
+variables at most once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from functools import cache
 
 
 class SyntaxModuleError(Exception):
@@ -134,6 +138,18 @@ class Test(Exp):
     perms: frozenset[str]
     then: Exp
     other: Exp
+
+
+def _hash_by_label(e: Exp) -> int:
+    """Labels are unique within a tree, so the kind and the label pick out
+    a node; structurally equal nodes have both and hash equal."""
+    return hash((e.__class__.__name__, e.label))
+
+
+# The dataclass decorator gives every subclass a hash over all its fields,
+# which recurses through the whole subtree.
+for _cls in (Exp, *Exp.__subclasses__()):
+    _cls.__hash__ = _hash_by_label
 
 
 @dataclass(frozen=True)
@@ -325,8 +341,25 @@ def _perm_str(perms: frozenset[str]) -> str:
     return "(" + " ".join(sorted(perms)) + ")"
 
 
+# ``unparse`` and ``free_vars`` keep their result on the node.  The cache is
+# not a field, so equality and ``fields`` ignore it.  It is written with
+# ``object.__setattr__``, which gets past the frozen dataclass and, unlike a
+# write to ``e.__dict__`` (as ``functools.cached_property`` does), keeps the
+# instance's compact attribute storage, so field reads on hot nodes stay fast.
 def unparse(e: Exp) -> str:
-    """Render the canonical surface form; parse(unparse(e)) == e up to labels."""
+    """Render the canonical surface form; parse(unparse(e)) == e up to labels.
+    Each node is rendered once and keeps its text."""
+    try:
+        return e._text
+    except AttributeError:
+        if not isinstance(e, Exp):
+            raise TypeError(f"not an expression: {e!r}") from None
+    text = _render(e)
+    object.__setattr__(e, "_text", text)
+    return text
+
+
+def _render(e: Exp) -> str:
     if isinstance(e, Ref):
         return e.name
     if isinstance(e, Lam):
@@ -356,8 +389,14 @@ def unparse(e: Exp) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def children(e: Exp) -> tuple[Exp, ...]:
-    return tuple(v for f in fields(e) for v in [getattr(e, f.name)] if isinstance(v, Exp))
+    return tuple(v for name in _field_names(e.__class__)
+                 for v in [getattr(e, name)] if isinstance(v, Exp))
 
 
 def iter_nodes(e: Exp):
@@ -368,16 +407,23 @@ def iter_nodes(e: Exp):
 
 
 def free_vars(e: Exp) -> frozenset[str]:
+    """Computed once per node and kept on it."""
+    try:
+        return e._free_vars
+    except AttributeError:
+        pass
     if isinstance(e, Ref):
-        return frozenset({e.name})
-    if isinstance(e, Lam):
-        return free_vars(e.body) - {e.param}
-    if isinstance(e, SetBang):
-        return free_vars(e.value) | {e.name}
-    out: frozenset[str] = frozenset()
-    for c in children(e):
-        out |= free_vars(c)
-    return out
+        fv = frozenset({e.name})
+    elif isinstance(e, Lam):
+        fv = free_vars(e.body) - {e.param}
+    elif isinstance(e, SetBang):
+        fv = free_vars(e.value) | {e.name}
+    else:
+        fv = frozenset()
+        for c in children(e):
+            fv |= free_vars(c)
+    object.__setattr__(e, "_free_vars", fv)
+    return fv
 
 
 def relabel(e: Exp) -> Exp:
