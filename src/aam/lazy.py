@@ -178,8 +178,10 @@ def _lk_rules(s: LKStarState, sem, policy, variant: str) -> list:
             entry = Computed(c.arg, env)
         else:
             entry = Delayed(c.arg, env)
-        # A store-scanning allocator must see the stored frame to pick
-        # another address; a linked frame leaves the store as it was.
+        # A second allocation in one step: the thunk's address must come
+        # from store1, whose high-water mark counts the frame just stored,
+        # or it would repeat the frame's address.  A linked frame leaves
+        # the store, and so its mark, as it was.
         s1 = s if store1 is store else LKStarState(c, env, store1, k, s.time)
         ta = policy.alloc_kont(c.label, s1, k, TAG_THUNK)
         return [LKStarState(c.fun, env, sem.alloc(store1, ta, entry), ApplyK(ta, ka), u)]

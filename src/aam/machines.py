@@ -183,7 +183,11 @@ CESKState = CESKStarState = CESKtState
 
 
 class FreshTickPolicy:
-    """Numeric addresses (max-plus-one) with an integer clock."""
+    """Numeric addresses (max-plus-one) with an integer clock.
+
+    ``fresh_addr`` reads the high-water mark the concrete store semantics
+    keeps on every store it writes, so allocation is O(1); a store no
+    concrete write produced (one GC has restricted, say) is scanned once."""
 
     concrete = True
     t0 = Tick(0)
@@ -228,7 +232,8 @@ class TimeKeyedPolicy:
 class LinkedPolicy(FreshTickPolicy):
     """Linked frames: a continuation frame is allocated at itself, so the
     frame pushed on top of it holds it as its tail and the store never
-    sees it.  Bindings and thunks get numeric addresses."""
+    sees it.  Bindings and thunks get numeric addresses from the store's
+    high-water mark, which a linked frame leaves as it was."""
 
     def alloc_kont(self, site: int, state, kont, tag: str = "kont"):
         return fresh_addr(state.store) if tag == TAG_THUNK else kont

@@ -7,7 +7,9 @@ join, and lookup of an absent address yields the empty set.
 
 Address families:
 
-* ``FreshA(n)``        numeric addresses from a max-plus-one allocator
+* ``FreshA(n)``        numeric addresses from a max-plus-one allocator;
+  a concrete store carries its high-water mark (the largest ``n`` it
+  holds), so allocation reads the mark instead of scanning the store
 * ``BindA(x, t)``      variable binding keyed by allocation-time
 * ``KontA(site, t)``   continuation (or operand-thunk, or reified-frame)
   storage keyed by the allocating node's label; ``tag`` separates the
@@ -72,13 +74,20 @@ class FrozenMap(Mapping):
     the new map's hash in O(1): it subtracts the replaced item's hash and
     adds the new one's.  A map nothing ever hashed (a concrete store) pays
     one ``None`` check for this.  The other updates leave the hash to be
-    computed lazily."""
+    computed lazily.
 
-    __slots__ = ("_d", "_hash")
+    ``_top`` is the largest ``FreshA`` number among the keys (-1 if there
+    is none), or ``None`` while unknown.  Only concrete stores keep it:
+    ``fresh_addr`` computes it on first use and ``ConcreteStore`` carries
+    it to the stores it writes.  Every other way of making a map leaves
+    it unknown: ``set`` never maintains it."""
+
+    __slots__ = ("_d", "_hash", "_top")
 
     def __init__(self, items: Mapping | Iterator | tuple = ()):
         self._d = dict(items)
         self._hash = None
+        self._top = None
 
     @classmethod
     def _adopt(cls, d: dict, h: int | None = None) -> "FrozenMap":
@@ -87,6 +96,7 @@ class FrozenMap(Mapping):
         m = cls.__new__(cls)
         m._d = d
         m._hash = h
+        m._top = None
         return m
 
     def __getitem__(self, key):
@@ -275,11 +285,17 @@ class MonoUpdateA(Addr):
 
 
 def fresh_addr(store: FrozenMap) -> FreshA:
-    """Max-plus-one allocation over the numeric address family."""
-    top = -1
-    for a in store:
-        if isinstance(a, FreshA) and a.n > top:
-            top = a.n
+    """Max-plus-one allocation over the numeric address family.
+
+    Reads the store's high-water mark; a store without one (any store not
+    written by ``ConcreteStore``, such as a GC'd one) is scanned once."""
+    top = store._top
+    if top is None:
+        top = -1
+        for a in store:
+            if isinstance(a, FreshA) and a.n > top:
+                top = a.n
+        store._top = top
     return FreshA(top + 1)
 
 
@@ -346,7 +362,9 @@ class ConcreteStore:
     """Exact stores.  A fetch yields the one storable of the expected kind
     or stops the machine; allocation must be fresh; update overwrites; each
     tick of a timed state must strictly advance time.  A frame is its own
-    address when the policy links it (see the module docstring)."""
+    address when the policy links it (see the module docstring).  A write
+    only adds or overwrites a key, so the written store's high-water mark
+    is the larger of the parent's and the written ``FreshA``'s."""
 
     def fetch(self, store: FrozenMap, addr: Addr, kind, what: str) -> tuple:
         """``what`` names the address's role in the stuck message."""
@@ -362,10 +380,14 @@ class ConcreteStore:
             return store
         if addr in store:
             raise InvariantError(f"allocation must be fresh: {addr!r} is taken")
-        return store.set(addr, value)
+        return self.update(store, addr, value)
 
     def update(self, store: FrozenMap, addr: Addr, value) -> FrozenMap:
-        return store.set(addr, value)
+        new = store.set(addr, value)
+        top = store._top
+        if top is not None:
+            new._top = addr.n if isinstance(addr, FreshA) and addr.n > top else top
+        return new
 
     def holds(self, store: FrozenMap, addr: Addr, kind) -> bool:
         """Whether the storable at ``addr`` is of the kind."""
