@@ -7,14 +7,16 @@ so addresses hold non-empty sets of storables, store update joins, and
 lookups fan out into one successor per storable.  Termination is by
 exhaustion of the finite state space, never by fuel.
 
-Three drivers are provided:
+There are two ways to explore:
 
 * ``explore``          breadth-first reachable-state graph, per-state stores
-* ``explore_0cfa``     a specialized monovariant machine with no environment
-                       (addresses are variable names and site labels)
 * ``analyze_widened``  single-threaded global store: the system is a set of
                        store-less contexts plus one store, iterated to a
                        fixed point
+
+0CFA is not a separate machine: ``explore_0cfa``, ``analyze_widened_0cfa``
+and ``step_0cfa`` read the same rules under ``MONOVARIANT``, the k = 0
+policy, whose addresses are variable names and site labels.
 
 ``abstraction_map`` sends states of the concrete time-keyed machine into
 the k-bounded abstract state space by truncating every contour (in the time
@@ -32,9 +34,7 @@ from dataclasses import dataclass
 
 from .machines import (
     CESKtState,
-    Kont,
     MT,
-    Mt,
     _core_rules,
     is_final_abstract,
     tick_label,
@@ -55,13 +55,11 @@ from .store import (
     TAG_KONT,
     Time,
     UpdateA,
-    astore_add,
-    astore_get,
     astore_join,
     astore_leq,
-    sort_key,
+    sort_key,  # no caller here; bench/test_bench.py checks the tracer rebinds it
 )
-from .syntax import App, CORE_FORMS, Exp, Lam, Ref, _field_names, check_closed, check_features
+from .syntax import CORE_FORMS, Exp, _field_names, check_closed, check_features
 
 # Abstract states have the concrete time-stamped machine's fields; only the
 # store they carry is read differently.
@@ -70,7 +68,8 @@ AbstractState = CESKtState
 
 class KCFAPolicy:
     """Contours of the last k control labels; k=0 degenerates to the
-    time-free monovariant address families."""
+    time-free monovariant address families, and every tick to the one
+    shared empty contour."""
 
     concrete = False
 
@@ -81,6 +80,8 @@ class KCFAPolicy:
         self.t0 = Contour(())
 
     def tick(self, state, kont) -> Contour:
+        if self.k == 0:
+            return self.t0
         return Contour(((tick_label(state.ctrl),) + state.time.labels)[: self.k])
 
     def alloc_bind(self, var: str, state, kont) -> Addr:
@@ -233,76 +234,6 @@ def state_leq(s1, s2) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The specialized monovariant machine (no environments)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Ar0(Kont):
-    exp: Exp
-    tail: Addr
-
-    def __repr__(self) -> str:
-        return f"Ar0({self.exp!r} {self.tail!r})"
-
-
-@dataclass(frozen=True)
-class Fn0(Kont):
-    lam: Lam
-    tail: Addr
-
-    def __repr__(self) -> str:
-        return f"Fn0({self.lam!r} {self.tail!r})"
-
-
-@dataclass(frozen=True)
-class ZState:
-    """Monovariant machine state: bindings key on the variable itself, so
-    no environment is needed; stored values are bare lambda nodes."""
-
-    ctrl: Exp
-    store: FrozenMap
-    kont: Kont
-
-
-def inject_0cfa(e: Exp) -> ZState:
-    check_closed(e)
-    check_features(e, CORE_FORMS, "core")
-    return ZState(e, EMPTY_ASTORE, MT)
-
-
-def is_final_0cfa(s: ZState) -> bool:
-    return isinstance(s.ctrl, Lam) and isinstance(s.kont, Mt)
-
-
-def step_0cfa(s: ZState) -> list[ZState]:
-    c, store, k = s.ctrl, s.store, s.kont
-    succs: list[ZState] = []
-    if isinstance(c, Ref):
-        for v in sorted(astore_get(store, MonoBindA(c.name)), key=sort_key):
-            if isinstance(v, Lam):
-                succs.append(ZState(v, store, k))
-    elif isinstance(c, App):
-        addr = MonoKontA(c.label)
-        store2 = astore_add(store, addr, [k])
-        succs.append(ZState(c.fun, store2, Ar0(c.arg, addr)))
-    elif isinstance(c, Lam):
-        if isinstance(k, Ar0):
-            succs.append(ZState(k.exp, store, Fn0(c, k.tail)))
-        elif isinstance(k, Fn0):
-            for popped in sorted(astore_get(store, k.tail), key=sort_key):
-                if not isinstance(popped, Kont):
-                    continue
-                store2 = astore_add(store, MonoBindA(k.lam.param), [c])
-                succs.append(ZState(k.lam.body, store2, popped))
-    return succs
-
-
-def explore_0cfa(e: Exp, order: str = "bfs") -> StateGraph:
-    return explore_states(inject_0cfa(e), step_0cfa, is_final_0cfa, order)
-
-
-# ---------------------------------------------------------------------------
 # Store widening
 # ---------------------------------------------------------------------------
 
@@ -350,8 +281,30 @@ def analyze_widened(e: Exp, policy: KCFAPolicy) -> WidenedSystem:
     )
 
 
+# ---------------------------------------------------------------------------
+# 0CFA: the same machine under the monovariant policy
+# ---------------------------------------------------------------------------
+
+MONOVARIANT = KCFAPolicy(0)
+
+
+def inject_0cfa(e: Exp) -> CESKtState:
+    return inject_abstract(e, MONOVARIANT)
+
+
+def step_0cfa(s: CESKtState) -> list[CESKtState]:
+    return step_abstract(s, MONOVARIANT)
+
+
+is_final_0cfa = is_final_abstract
+
+
+def explore_0cfa(e: Exp, order: str = "bfs") -> StateGraph:
+    return explore(e, MONOVARIANT, order)
+
+
 def analyze_widened_0cfa(e: Exp) -> WidenedSystem:
-    return widened_fixpoint(inject_0cfa(e), step_0cfa)
+    return analyze_widened(e, MONOVARIANT)
 
 
 def monovariant_iteration_bound(e: Exp) -> int:

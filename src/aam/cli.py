@@ -32,11 +32,8 @@ from .analysis import (
     KCFAPolicy,
     explore_states,
     inject_abstract,
-    inject_0cfa,
     is_final_abstract,
-    is_final_0cfa,
     step_abstract,
-    step_0cfa,
     strip_store,
     widened_fixpoint,
 )
@@ -51,7 +48,7 @@ from .inspection import (
     step_cm_abstract,
 )
 from .lazy import inject_alk, inject_lk, is_final_alk, step_lk, step_lk_star_abstract
-from .machines import Closure, FRESH_POLICY, MACHINES, trace_from
+from .machines import Ar, Closure, FRESH_POLICY, Fn, MACHINES, trace_from
 from .pushdown import reachable_pushdown, reachable_pushdown_widened
 from .store import (
     Addr,
@@ -138,37 +135,53 @@ def _render_env(env) -> dict:
     return {x: repr(a) for x, a in sorted(env.items(), key=lambda kv: kv[0])}
 
 
-def _render_store(store, abstract: bool) -> dict:
+def _render_store(store, abstract: bool, show=repr) -> dict:
     if store is None:
         return {}
     items = sorted(store.items(), key=lambda kv: sort_key(kv[0]))
     if abstract:
-        return {repr(a): sorted(repr(v) for v in vs) for a, vs in items}
-    return {repr(a): repr(v) for a, v in items}
+        return {repr(a): sorted(show(v) for v in vs) for a, vs in items}
+    return {repr(a): show(v) for a, v in items}
 
 
-def _row(i, ctrl, env, store, kont, time, final, abstract) -> Row:
+def _mono_repr(v) -> str:
+    """How ``0cfa`` prints a storable or frame.  At k = 0 an environment is
+    a function of the syntax it closes, so it is left out: a closure prints
+    as its lambda, and ``Ar``/``Fn`` frames as ``Ar0``/``Fn0``."""
+    if isinstance(v, Closure):
+        return repr(v.lam)
+    if isinstance(v, Ar):
+        return f"Ar0({v.exp!r} {v.tail!r})"
+    if isinstance(v, Fn):
+        return f"Fn0({v.lam!r} {v.tail!r})"
+    return repr(v)
+
+
+def _row(i, ctrl, env, store, kont, time, final, abstract, show=repr) -> Row:
     return Row(
         id=i,
         control=render_control(ctrl),
         env=_render_env(env),
-        store=_render_store(store, abstract),
-        kont="" if kont is None else repr(kont),
+        store=_render_store(store, abstract, show),
+        kont="" if kont is None else show(kont),
         time="" if time is None else repr(time),
         final=final,
     )
 
 
-def _state_row(i, state, final, abstract) -> Row:
+def _state_row(i, state, final, abstract, mono=False) -> Row:
+    """``mono`` prints a k = 0 core state the way ``0cfa`` shows it: no
+    environment, no time, and storables and frames through ``_mono_repr``."""
     return _row(
         i,
         state.ctrl,
-        getattr(state, "env", None),
+        None if mono else getattr(state, "env", None),
         getattr(state, "store", None),
         getattr(state, "kont", None),
-        getattr(state, "time", None),
+        None if mono else getattr(state, "time", None),
         final,
         abstract,
+        _mono_repr if mono else repr,
     )
 
 
@@ -330,10 +343,8 @@ def _abstract_parts(args, program):
     k = args.k if args.k is not None else 0
     e = program.exp
     policy = KCFAPolicy(k)
-    if machine == "kcfa":
+    if machine in ("kcfa", "0cfa"):
         return inject_abstract(e, policy), (lambda s: step_abstract(s, policy)), is_final_abstract
-    if machine == "0cfa":
-        return inject_0cfa(e), step_0cfa, is_final_0cfa
     if machine == "alk":
         return inject_alk(e, policy), (lambda s: step_lk_star_abstract(s, policy)), is_final_alk
     if machine == "aext":
@@ -390,6 +401,7 @@ def _run_abstract(args, program) -> tuple[Model, int]:
     if machine == "pushdown":
         return _pushdown_model(args, program), 0
     initial, successors, is_final = _abstract_parts(args, program)
+    mono = machine == "0cfa"
     if args.widen:
         system = widened_fixpoint(initial, successors)
         states = sorted(system.contexts, key=sort_key)
@@ -402,7 +414,7 @@ def _run_abstract(args, program) -> tuple[Model, int]:
                     edges.add((i, j))
         finals = [i for i, s in enumerate(states) if is_final(s)]
         rows = [
-            _state_row(i, dataclasses.replace(s, store=system.store), i in finals, abstract=True)
+            _state_row(i, dataclasses.replace(s, store=system.store), i in finals, True, mono)
             for i, s in enumerate(states)
         ]
         model = Model(
@@ -424,7 +436,7 @@ def _run_abstract(args, program) -> tuple[Model, int]:
     finals = list(graph.finals)
     final_set = set(finals)
     rows = [
-        _state_row(i, s, final=(i in final_set), abstract=True)
+        _state_row(i, s, i in final_set, True, mono)
         for i, s in enumerate(graph.states)
     ]
     model = Model(

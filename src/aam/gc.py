@@ -14,11 +14,10 @@ sets.
 
 Liveness is one walk over any machine's objects, so it knows no machine:
 an address is live where it is written; an expression field is trimmed to
-the bindings of its free variables in the object's ``env`` field, or, in
-an object with no environment (the monovariant machine), to the
-variable-named ``MonoBindA`` addresses; other fields are walked in turn.
-``collect`` applies the same walk to a state, with its store left out, to
-find the roots.
+the bindings of its free variables in the object's ``env`` field (every
+object that holds syntax also holds the environment closing it); other
+fields are walked in turn.  ``collect`` applies the same walk to a state,
+with its store left out, to find the roots.
 """
 
 from __future__ import annotations
@@ -27,19 +26,13 @@ from dataclasses import fields, replace
 from functools import cache
 from typing import Callable, Iterable
 
-from .store import Addr, Env, FrozenMap, MonoBindA, StoreError, astore_get
+from .store import Addr, Env, FrozenMap, StoreError, astore_get
 from .syntax import Exp, free_vars
 
 
 def live_exp(e: Exp, env: Env) -> frozenset[Addr]:
     """Addresses the expression can touch: its free variables' bindings."""
     return frozenset(env[x] for x in free_vars(e))
-
-
-def live_mono(e: Exp) -> frozenset[Addr]:
-    """Monovariant liveness: the machine without environments binds each
-    variable at the address named after it."""
-    return frozenset(MonoBindA(x) for x in free_vars(e))
 
 
 @cache
@@ -55,20 +48,17 @@ def live_locations(v) -> frozenset[Addr]:
     value, frame, handler or (store aside) state."""
     if isinstance(v, Addr):
         return frozenset((v,))
-    if isinstance(v, Exp):
-        return live_mono(v)
     try:
         names = _walked_fields(type(v))
     except TypeError:
         raise TypeError(f"no liveness rule for {v!r}") from None
-    env = getattr(v, "env", None)
     live: set[Addr] = set()
     for name in names:
         x = getattr(v, name)
         if isinstance(x, Addr):
             live.add(x)
         elif isinstance(x, Exp):
-            live |= live_mono(x) if env is None else live_exp(x, env)
+            live |= live_exp(x, v.env)
         elif hasattr(x, "__dataclass_fields__"):
             live |= live_locations(x)
     return frozenset(live)
@@ -108,8 +98,12 @@ def _roots(state) -> frozenset[Addr]:
 
 def collect(state, abstract: bool = False):
     """Restrict the state's store to the addresses reachable from its
-    roots."""
+    roots.  When every address is live the state itself is returned, so
+    its store keeps its hash and allocation mark."""
     live = gc_reachable(_roots(state), state.store, abstract)
+    # Not a length test: an abstract live set may name unmapped addresses.
+    if live.issuperset(state.store):
+        return state
     return replace(state, store=state.store.restrict(live))
 
 

@@ -80,9 +80,14 @@ class FrozenMap(Mapping):
     is none), or ``None`` while unknown.  Only concrete stores keep it:
     ``fresh_addr`` computes it on first use and ``ConcreteStore`` carries
     it to the stores it writes.  Every other way of making a map leaves
-    it unknown: ``set`` never maintains it."""
+    it unknown: ``set`` never maintains it.
 
-    __slots__ = ("_d", "_hash", "_top")
+    ``_repr`` caches the rendering, which ``sort_key`` asks for whenever a
+    fan-out orders closures.  No constructor sets it: it is read lazily,
+    so building a map costs nothing for it and a derived map never sees
+    its parent's string."""
+
+    __slots__ = ("_d", "_hash", "_top", "_repr")
 
     def __init__(self, items: Mapping | Iterator | tuple = ()):
         self._d = dict(items)
@@ -127,10 +132,15 @@ class FrozenMap(Mapping):
         return NotImplemented
 
     def __repr__(self) -> str:
+        try:
+            return self._repr
+        except AttributeError:
+            pass
         inner = ", ".join(
             f"{k!r}: {self._d[k]!r}" for k in sorted(self._d, key=repr)
         )
-        return "{" + inner + "}"
+        self._repr = r = "{" + inner + "}"
+        return r
 
     def set(self, key, value) -> "FrozenMap":
         d = dict(self._d)

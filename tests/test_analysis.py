@@ -24,7 +24,7 @@ from aam.analysis import (
     step_abstract,
     strip_store,
 )
-from aam.machines import TIME_KEYED_POLICY, run_trace
+from aam.machines import TIME_KEYED_POLICY, Closure, run_trace
 from aam.store import (
     BindA,
     Contour,
@@ -176,6 +176,10 @@ class TestMonovariantMachine:
             z = {s.ctrl.label for s in explore_0cfa(e).states}
             assert k0 == z, unparse(e)
 
+    def test_0cfa_is_explore_under_the_k0_policy(self):
+        for e in terminating_corpus()[:10] + divergent_corpus()[:5]:
+            assert explore_0cfa(e) == explore(e, KCFAPolicy(0)), unparse(e)
+
     def test_finals_are_lambdas(self):
         g = explore_0cfa(P_PRECISION)
         assert g.finals
@@ -183,13 +187,16 @@ class TestMonovariantMachine:
             assert isinstance(g.states[i].ctrl, Lam)
 
     def test_constraint_solver_over_approximates_machine(self):
+        compared = 0
         for e in terminating_corpus():
             w = analyze_widened_0cfa(e)
             mini = mini_0cfa(e)
             for a, vs in w.store.items():
                 if isinstance(a, MonoBindA):
-                    machine = {v.label for v in vs if isinstance(v, Lam)}
+                    machine = {v.lam.label for v in vs if isinstance(v, Closure)}
                     assert machine <= mini.get(a.var, frozenset()), unparse(e)
+                    compared += bool(machine)
+        assert compared
 
 
 class TestStateOrder:

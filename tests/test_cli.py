@@ -3,13 +3,19 @@ byte-deterministic output in all three formats."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
+
+from corpus import divergent_corpus, terminating_corpus
+from aam.cli import run
+from aam.syntax import unparse
 
 ID_ID = "((lambda (x) x) (lambda (y) y))"
 OMEGA = "((lambda (w) (w w)) (lambda (w) (w w)))"
@@ -192,6 +198,31 @@ class TestDotFormat:
         assert "shape=doublecircle" in r.stdout
         assert "style=bold" in r.stdout
         assert r.stdout.rstrip().endswith("}")
+
+
+class TestMonovariantPrinter:
+    """``0cfa`` is ``kcfa`` at k = 0 with a printer that leaves out
+    environments and times: both must show the same graph."""
+
+    @staticmethod
+    def run_json(path, *argv) -> dict:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert run([*argv, "--format", "json", str(path)]) == 0
+        return json.loads(out.getvalue())
+
+    @pytest.mark.parametrize("flags", [(), ("--gc",), ("--widen",)], ids=["plain", "gc", "widen"])
+    def test_0cfa_and_kcfa_agree_on_the_seeded_corpus(self, tmp_path, flags):
+        path = tmp_path / "program.scm"
+        for e in terminating_corpus() + divergent_corpus():
+            path.write_text(unparse(e) + "\n")
+            mono = self.run_json(path, "0cfa", *flags)
+            k0 = self.run_json(path, "kcfa", *flags)
+            assert [r["control"] for r in mono["states"]] == [r["control"] for r in k0["states"]]
+            assert mono["edges"] == k0["edges"]
+            assert mono["summary"]["finals"] == k0["summary"]["finals"]
+            assert mono["summary"]["valueFlow"] == k0["summary"]["valueFlow"]
+            assert all(r["env"] == {} and r["time"] == "" for r in mono["states"])
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ import pytest
 
 from corpus import UNIVERSE, extended_corpus, security_corpus, terminating_corpus
 from oracles import reflective_addresses, store_value_term
+from test_fresh_alloc import count_scans
 from aam.analysis import (
     KCFAPolicy,
     explore,
@@ -34,16 +35,22 @@ from aam.machines import (
     MT,
     TIME_KEYED_POLICY,
     Ar,
+    CESKtState,
     Closure,
+    inject_ceskt,
     run_trace,
+    step_ceskt,
     trace_from,
 )
-from aam.store import EMPTY_MAP, FreshA, FrozenMap, MonoBindA, StoreError, astore_get
+from aam.store import EMPTY_MAP, Contour, FreshA, FrozenMap, MonoBindA, StoreError, astore_get
 from aam.syntax import Ref, parse, unparse
 
 GC_FIXTURE = parse(
     "((lambda (f) ((lambda (d) (f (lambda (b) b))) (f (lambda (a) a)))) (lambda (x) x))"
 )
+ADD = "(lambda (m) (lambda (n) (lambda (f) (lambda (x) ((m f) ((n f) x))))))"
+THREE = "(lambda (f) (lambda (x) (f (f (f x)))))"
+CHURCH_ADD_3_3 = parse(f"(((({ADD} {THREE}) {THREE}) (lambda (a) a)) (lambda (b) b))")
 
 
 def reflective_closure(state):
@@ -106,6 +113,33 @@ class TestLiveness:
                 once = collect(s)
                 assert collect(once) == once
                 assert set(once.store) <= set(s.store)
+
+    def test_collecting_a_fully_live_store_returns_the_state(self):
+        for e in terminating_corpus()[:5]:
+            for s in run_trace("ceskstar", e, 1000).states:
+                once = collect(s)
+                assert collect(once) is once
+            for s in explore(e, KCFAPolicy(1)).states:
+                once = collect(s, abstract=True)
+                assert collect(once, abstract=True) is once
+
+    def test_an_unmapped_live_address_does_not_hide_a_dead_one(self):
+        # The root x is live but unmapped; the one entry the store holds is
+        # dead, so the live set is as large as the store and still drops it.
+        lam = parse("(lambda (y) (x y))")
+        dead = {MonoBindA("d"): frozenset({Closure(parse("(lambda (z) z)"), EMPTY_MAP)})}
+        s = CESKtState(lam, FrozenMap({"x": MonoBindA("x")}), FrozenMap(dead), MT, Contour(()))
+        out = collect(s, abstract=True)
+        assert out is not s
+        assert len(out.store) == 0
+
+    def test_a_collected_ceskt_run_keeps_its_allocation_mark(self, monkeypatch):
+        counts = count_scans(monkeypatch)
+        t = trace_from(collecting_step(step_ceskt), collect(inject_ceskt(CHURCH_ADD_3_3)), 10_000)
+        assert t.outcome == "final"
+        # Only a store that a collection shrank lacks the mark and is
+        # scanned; a collection that drops nothing keeps the step's store.
+        assert 0 < counts["scans"] < counts["calls"]
 
     def test_liveness_never_exceeds_structural_reachability(self):
         for e in terminating_corpus()[:8]:

@@ -7,9 +7,8 @@ state's registers by the reflective walk of ``tests/oracles.py``, closed
 through the store.  The collector may keep fewer addresses (it trims
 environments to free variables), never more.
 
-The environment-free ``0cfa`` machine is left out: it names each binding
-address after its variable, so its roots are not written in the state at
-all and no structural walk can find them.
+``0cfa`` is the ``kcfa`` machine at k = 0, so the ``kcfa`` runs at k = 0
+cover it.
 """
 
 from __future__ import annotations

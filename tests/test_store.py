@@ -63,6 +63,25 @@ class TestFrozenMap:
         assert repr(m1) == repr(m2)
         assert repr(m1).index("'a'") < repr(m1).index("'b'")
 
+    def test_repr_is_cached(self):
+        m = FrozenMap({"b": 2, "a": 1})
+        assert repr(m) is repr(m)
+
+    def test_a_map_made_from_a_rendered_map_renders_its_own_contents(self):
+        m = FrozenMap({"a": 1, "b": 2})
+        assert repr(m) == "{'a': 1, 'b': 2}"
+        made = {
+            "set": (m.set("c", 3), "{'a': 1, 'b': 2, 'c': 3}"),
+            "update": (m.update({"a": 9}), "{'a': 9, 'b': 2}"),
+            "without": (m.without(["a"]), "{'b': 2}"),
+            "restrict": (m.restrict(["b"]), "{'b': 2}"),
+            "astore_join": (astore_join(m, FrozenMap({"d": 4})), "{'a': 1, 'b': 2, 'd': 4}"),
+            "FrozenMap": (FrozenMap({**m, "e": 5}), "{'a': 1, 'b': 2, 'e': 5}"),
+        }
+        for how, (child, want) in made.items():
+            assert repr(child) == want, how
+        assert repr(m) == "{'a': 1, 'b': 2}"
+
     def test_usable_as_mapping(self):
         m = FrozenMap({"a": 1})
         assert "a" in m and "b" not in m
