@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 
 from .machines import (
     CESKtState,
@@ -69,7 +70,11 @@ AbstractState = CESKtState
 class KCFAPolicy:
     """Contours of the last k control labels; k=0 degenerates to the
     time-free monovariant address families, and every tick to the one
-    shared empty contour."""
+    shared empty contour.
+
+    At k = 0 an address is a function of its variable or of its site and
+    tag, so the policy makes each one once and hands the same object out
+    on every later allocation; the addresses live as long as the policy."""
 
     concrete = False
 
@@ -78,6 +83,9 @@ class KCFAPolicy:
             raise ValueError("k must be non-negative")
         self.k = k
         self.t0 = Contour(())
+        self._mono_bind = cache(MonoBindA)
+        self._mono_kont = cache(MonoKontA)
+        self._mono_update = cache(MonoUpdateA)
 
     def tick(self, state, kont) -> Contour:
         if self.k == 0:
@@ -86,17 +94,17 @@ class KCFAPolicy:
 
     def alloc_bind(self, var: str, state, kont) -> Addr:
         if self.k == 0:
-            return MonoBindA(var)
+            return self._mono_bind(var)
         return BindA(var, self.tick(state, kont))
 
     def alloc_kont(self, site: int, state, kont, tag: str = TAG_KONT) -> Addr:
         if self.k == 0:
-            return MonoKontA(site, tag)
+            return self._mono_kont(site, tag)
         return KontA(site, self.tick(state, kont), tag)
 
     def alloc_update(self, var: str, state, kont) -> Addr:
         if self.k == 0:
-            return MonoUpdateA(var)
+            return self._mono_update(var)
         return UpdateA(var, self.tick(state, kont))
 
 

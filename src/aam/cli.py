@@ -18,6 +18,10 @@ package, reported in one line).
 All emitted formats are byte-deterministic for a fixed configuration and
 input: states appear in first-discovery order and every set is rendered
 sorted.
+
+Only JSON prints each state's environment and store.  A run's rows keep
+them unrendered and ``emit_json`` renders them, so text and dot output,
+which print the control, continuation and time, never pay for the stores.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .analysis import (
     KCFAPolicy,
@@ -88,13 +93,19 @@ class ConfigError(Exception):
 
 @dataclasses.dataclass
 class Row:
+    """One state, with what every format prints already rendered.  The
+    environment and store stay raw: only JSON prints them, through
+    ``_render_env`` and ``_render_store`` with ``abstract`` and ``show``."""
+
     id: int
     control: str
-    env: dict
-    store: dict
+    env: object
+    store: object
     kont: str
     time: str
     final: bool
+    abstract: bool
+    show: Callable[[object], str]
 
 
 @dataclasses.dataclass
@@ -161,11 +172,13 @@ def _row(i, ctrl, env, store, kont, time, final, abstract, show=repr) -> Row:
     return Row(
         id=i,
         control=render_control(ctrl),
-        env=_render_env(env),
-        store=_render_store(store, abstract, show),
+        env=env,
+        store=store,
         kont="" if kont is None else show(kont),
         time="" if time is None else repr(time),
         final=final,
+        abstract=abstract,
+        show=show,
     )
 
 
@@ -491,8 +504,8 @@ def emit_json(model: Model) -> str:
             {
                 "id": r.id,
                 "control": r.control,
-                "env": r.env,
-                "store": r.store,
+                "env": _render_env(r.env),
+                "store": _render_store(r.store, r.abstract, r.show),
                 "kont": r.kont,
                 "time": r.time,
                 "final": r.final,

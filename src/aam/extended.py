@@ -52,6 +52,7 @@ from .store import (
     FrozenMap,
     TAG_REIFY,
     Time,
+    cached_repr,
 )
 from .syntax import (
     App,
@@ -144,6 +145,7 @@ class ArX(Kont):
     site: int
     tail: Addr
 
+    @cached_repr
     def __repr__(self) -> str:
         return f"Ar({self.exp!r} {self.env!r} #{self.site} {self.tail!r})"
 
@@ -154,6 +156,7 @@ class FnX(Kont):
     site: int
     tail: Addr
 
+    @cached_repr
     def __repr__(self) -> str:
         return f"Fn({self.op!r} #{self.site} {self.tail!r})"
 
@@ -166,6 +169,7 @@ class IfK(Kont):
     site: int
     tail: Addr
 
+    @cached_repr
     def __repr__(self) -> str:
         return f"If({self.then!r} {self.other!r} {self.env!r} #{self.site} {self.tail!r})"
 
@@ -176,6 +180,7 @@ class SetK(Kont):
     site: int
     tail: Addr
 
+    @cached_repr
     def __repr__(self) -> str:
         return f"Set({self.target!r} #{self.site} {self.tail!r})"
 

@@ -55,6 +55,7 @@ from .store import (
     Env,
     FrozenMap,
     Time,
+    cached_repr,
 )
 from .syntax import (
     App,
@@ -82,6 +83,7 @@ EMPTY_MARKS = EMPTY_MAP
 class MtM(Kont):
     marks: Marks = EMPTY_MARKS
 
+    @cached_repr
     def __repr__(self) -> str:
         return f"Mt^{self.marks!r}"
 
@@ -93,6 +95,7 @@ class ArM(Kont):
     marks: Marks
     tail: Union[Kont, Addr]
 
+    @cached_repr
     def __repr__(self) -> str:
         return f"Ar^{self.marks!r}({self.exp!r} {self.env!r} {self.tail!r})"
 
@@ -104,6 +107,7 @@ class FnM(Kont):
     marks: Marks
     tail: Union[Kont, Addr]
 
+    @cached_repr
     def __repr__(self) -> str:
         return f"Fn^{self.marks!r}({self.lam!r} {self.env!r} {self.tail!r})"
 

@@ -55,6 +55,7 @@ from .store import (
     TAG_KONT,
     TAG_THUNK,
     Time,
+    cached_repr,
 )
 from .syntax import App, CORE_FORMS, Exp, Lam, Ref, check_closed, check_features
 
@@ -84,6 +85,7 @@ class UpdateK(Kont):
     target: Addr
     tail: Union[Kont, Addr]
 
+    @cached_repr
     def __repr__(self) -> str:
         return f"Upd({self.target!r} {self.tail!r})"
 
@@ -93,6 +95,7 @@ class ApplyK(Kont):
     arg: Addr
     tail: Union[Kont, Addr]
 
+    @cached_repr
     def __repr__(self) -> str:
         return f"Ap({self.arg!r} {self.tail!r})"
 
@@ -103,6 +106,7 @@ class ApplyExpK(Kont):
     env: Env
     tail: Union[Kont, Addr]
 
+    @cached_repr
     def __repr__(self) -> str:
         return f"ApX({self.exp!r} {self.env!r} {self.tail!r})"
 

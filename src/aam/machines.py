@@ -57,6 +57,7 @@ from .store import (
     Tick,
     Time,
     UpdateA,
+    cached_repr,
     fresh_addr,
 )
 from .syntax import App, Exp, Lam, Ref
@@ -83,6 +84,7 @@ class Closure(Value):
     lam: Lam
     env: Env
 
+    @cached_repr
     def __repr__(self) -> str:
         return f"clo[{self.lam!r} {self.env!r}]"
 
@@ -104,6 +106,7 @@ class Ar(Kont):
     env: Env
     tail: Union[Kont, Addr]
 
+    @cached_repr
     def __repr__(self) -> str:
         return f"Ar({self.exp!r} {self.env!r} {self.tail!r})"
 
@@ -114,6 +117,7 @@ class Fn(Kont):
     env: Env
     tail: Union[Kont, Addr]
 
+    @cached_repr
     def __repr__(self) -> str:
         return f"Fn({self.lam!r} {self.env!r} {self.tail!r})"
 

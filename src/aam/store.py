@@ -65,6 +65,29 @@ class MachineStuck(Exception):
 _ABSENT = object()
 
 
+def cached_repr(render):
+    """Make ``render`` a ``__repr__`` that renders each object once.
+
+    The text is kept on the object the way ``syntax.unparse`` keeps a
+    node's: it is not a field, so equality, hashing and
+    ``dataclasses.replace`` ignore it, and no constructor sets it, so a step
+    that builds the object pays nothing for it.  ``sort_key`` asks for it
+    whenever a fan-out orders storables; a map, closure or frame in a
+    trace's store is rendered once however many states hold it, and a
+    linked frame renders its tail from the tail's kept text."""
+
+    def __repr__(self) -> str:
+        try:
+            return self._repr
+        except AttributeError:
+            pass
+        r = render(self)
+        object.__setattr__(self, "_repr", r)
+        return r
+
+    return __repr__
+
+
 class FrozenMap(Mapping):
     """Immutable hashable map; functional update via set/update/without.
 
@@ -82,10 +105,8 @@ class FrozenMap(Mapping):
     it to the stores it writes.  Every other way of making a map leaves
     it unknown: ``set`` never maintains it.
 
-    ``_repr`` caches the rendering, which ``sort_key`` asks for whenever a
-    fan-out orders closures.  No constructor sets it: it is read lazily,
-    so building a map costs nothing for it and a derived map never sees
-    its parent's string."""
+    ``_repr`` keeps the rendering (see ``cached_repr``); a derived map
+    never sees its parent's string."""
 
     __slots__ = ("_d", "_hash", "_top", "_repr")
 
@@ -131,16 +152,12 @@ class FrozenMap(Mapping):
             return self._d == other._d
         return NotImplemented
 
+    @cached_repr
     def __repr__(self) -> str:
-        try:
-            return self._repr
-        except AttributeError:
-            pass
         inner = ", ".join(
             f"{k!r}: {self._d[k]!r}" for k in sorted(self._d, key=repr)
         )
-        self._repr = r = "{" + inner + "}"
-        return r
+        return "{" + inner + "}"
 
     def set(self, key, value) -> "FrozenMap":
         d = dict(self._d)

@@ -32,6 +32,9 @@ from aam.store import (
     KontA,
     MonoBindA,
     MonoKontA,
+    MonoUpdateA,
+    TAG_KONT,
+    TAG_THUNK,
     Tick,
     astore_leq,
 )
@@ -197,6 +200,38 @@ class TestMonovariantMachine:
                     assert machine <= mini.get(a.var, frozenset()), unparse(e)
                     compared += bool(machine)
         assert compared
+
+
+class UninternedPolicy(KCFAPolicy):
+    """The k = 0 policy building a new address on every allocation."""
+
+    def alloc_bind(self, var, state, kont):
+        return MonoBindA(var)
+
+    def alloc_kont(self, site, state, kont, tag=TAG_KONT):
+        return MonoKontA(site, tag)
+
+    def alloc_update(self, var, state, kont):
+        return MonoUpdateA(var)
+
+
+class TestMonovariantAddresses:
+    def test_one_name_allocates_one_address(self):
+        policy = KCFAPolicy(0)
+        assert policy.alloc_bind("x", None, None) is policy.alloc_bind("x", None, None)
+        assert policy.alloc_update("x", None, None) is policy.alloc_update("x", None, None)
+        assert policy.alloc_kont(3, None, None) is policy.alloc_kont(3, None, None)
+        thunk = policy.alloc_kont(3, None, None, TAG_THUNK)
+        assert thunk is policy.alloc_kont(3, None, None, TAG_THUNK)
+        assert thunk == MonoKontA(3, TAG_THUNK) != policy.alloc_kont(3, None, None)
+        assert policy.alloc_bind("y", None, None) == MonoBindA("y")
+
+    def test_interning_leaves_the_graphs_unchanged(self):
+        for e in terminating_corpus() + divergent_corpus():
+            interned, fresh = explore(e, KCFAPolicy(0)), explore(e, UninternedPolicy(0))
+            assert interned.states == fresh.states
+            assert interned.edges == fresh.edges
+            assert interned.finals == fresh.finals
 
 
 class TestStateOrder:

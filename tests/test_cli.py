@@ -14,6 +14,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from corpus import divergent_corpus, terminating_corpus
+from aam import cli
 from aam.cli import run
 from aam.syntax import unparse
 
@@ -223,6 +224,37 @@ class TestMonovariantPrinter:
             assert mono["summary"]["finals"] == k0["summary"]["finals"]
             assert mono["summary"]["valueFlow"] == k0["summary"]["valueFlow"]
             assert all(r["env"] == {} and r["time"] == "" for r in mono["states"])
+
+
+class TestLazyRendering:
+    """Only JSON prints environments and stores, so only JSON renders them."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+    @pytest.mark.parametrize("machine", ["ceskt", "kcfa"])
+    def test_only_json_renders_environments_and_stores(self, tmp_path, monkeypatch, machine, fmt):
+        path = tmp_path / "program.scm"
+        path.write_text(PRECISION + "\n")
+        argv = [machine, "--format", fmt, str(path)]
+
+        def output():
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert run(argv) == 0
+            return out.getvalue()
+
+        plain = output()
+        calls = []
+        for name in ("_render_env", "_render_store"):
+            def counted(*args, _render=getattr(cli, name), _name=name):
+                calls.append(_name)
+                return _render(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        assert output() == plain
+        if fmt == "json":
+            assert {"_render_env", "_render_store"} <= set(calls)
+        else:
+            assert calls == []
 
 
 class TestDeterminism:

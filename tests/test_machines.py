@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from corpus import divergent_corpus, terminating_corpus
@@ -12,10 +14,17 @@ from oracles import (
     store_value_term,
     to_cek_state,
 )
+from aam.extended import IfK
+from aam.inspection import EMPTY_MARKS, ArM
+from aam.lazy import UpdateK
 from aam.machines import (
     FRESH_POLICY,
     MACHINES,
+    MT,
     TIME_KEYED_POLICY,
+    Ar,
+    Closure,
+    Fn,
     FreshTickPolicy,
     Final,
     Next,
@@ -25,7 +34,7 @@ from aam.machines import (
     step_ceskt,
     trace_from,
 )
-from aam.store import BindA, Contour, FreshA, KontA, Tick, time_strictly_precedes
+from aam.store import EMPTY_MAP, BindA, Contour, FreshA, KontA, Tick, time_strictly_precedes
 from aam.syntax import parse, unparse
 
 TOWER = ("cek", "cesk", "ceskstar", "ceskt")
@@ -164,3 +173,62 @@ class TestPolicyAsserts:
             trace_from(
                 lambda s: step_ceskt(s, Stutter()), inject_ceskt(e, Stutter()), 100
             )
+
+
+LAM = parse("(lambda (x) (x x))")
+ENV = EMPTY_MAP.set("y", FreshA(0))
+# name -> (make a fresh object, a field to replace, a value to replace it with)
+RENDERED = {
+    "Closure": (lambda: Closure(LAM, ENV), "env", EMPTY_MAP),
+    "Ar": (lambda: Ar(LAM.body, ENV, FreshA(1)), "tail", FreshA(2)),
+    "Fn": (lambda: Fn(LAM, ENV, MT), "env", EMPTY_MAP),
+    "UpdateK": (lambda: UpdateK(FreshA(1), MT), "target", FreshA(2)),
+    "IfK": (lambda: IfK(LAM.body, LAM, ENV, 4, FreshA(1)), "site", 5),
+    "ArM": (lambda: ArM(LAM.body, ENV, EMPTY_MARKS.set("p", True), MT), "marks", EMPTY_MARKS),
+}
+
+
+class TestReprCache:
+    """Closures and frames keep their text once rendered; the kept text is
+    not a field."""
+
+    @pytest.mark.parametrize("name", RENDERED)
+    def test_a_rendered_object_is_a_fresh_copy_rendered_once(self, name):
+        make, _field, _value = RENDERED[name]
+        rendered = make()
+        text = repr(rendered)
+        fresh = make()
+        assert rendered == fresh and hash(rendered) == hash(fresh)
+        assert repr(fresh) == text
+        assert repr(rendered) is text
+
+    @pytest.mark.parametrize("name", RENDERED)
+    def test_a_replaced_object_renders_its_own_fields(self, name):
+        make, field, value = RENDERED[name]
+        rendered = make()
+        text = repr(rendered)
+        replaced = dataclasses.replace(rendered, **{field: value})
+        assert repr(replaced) != text
+        assert repr(replaced) == repr(dataclasses.replace(make(), **{field: value}))
+
+    def test_a_linked_continuation_renders_as_if_uncached(self):
+        def uncached(k):
+            if isinstance(k, Ar):
+                return f"Ar({k.exp!r} {k.env!r} {uncached(k.tail)})"
+            if isinstance(k, Fn):
+                return f"Fn({k.lam!r} {k.env!r} {uncached(k.tail)})"
+            return repr(k)
+
+        def depth(k):
+            return 0 if k is MT else 1 + depth(k.tail)
+
+        e = parse("((((lambda (a) a) (lambda (b) b)) ((lambda (c) c) (lambda (d) d))) (lambda (e) e))")
+        trace = run_trace("cesk", e, 100)
+        assert trace.outcome == "final"
+        konts = [s.kont for s in trace.states]
+        assert max(map(depth, konts)) >= 3
+        # The last states first: an earlier state's frame is then read back
+        # from the text kept when it was rendered as a later frame's tail.
+        rendered = [repr(k) for k in reversed(konts)][::-1]
+        assert rendered == [uncached(k) for k in konts]
+        assert [repr(k) for k in konts] == rendered
