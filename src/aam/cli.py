@@ -22,6 +22,9 @@ sorted.
 Only JSON prints each state's environment and store.  A run's rows keep
 them unrendered and ``emit_json`` renders them, so text and dot output,
 which print the control, continuation and time, never pay for the stores.
+``emit_json`` writes the document directly, byte for byte what
+``json.dumps(obj, indent=2)`` would print, and renders each environment,
+store and store entry once per call however many rows hold it.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from .syntax import (
     FeatureError,
     Lam,
     ParseError,
+    _ident_error,
     check_closed,
     check_features,
     parse_program,
@@ -140,19 +144,81 @@ def render_value(v) -> str:
     return repr(v)
 
 
-def _render_env(env) -> dict:
-    if env is None:
-        return {}
-    return {x: repr(a) for x, a in sorted(env.items(), key=lambda kv: kv[0])}
+# JSON is written directly, not built as a dict for ``json.dumps``, whose
+# ``indent`` runs CPython's pure-Python encoder.  The text is byte for byte
+# what ``json.dumps(obj, indent=2)`` prints: strings escaped by the same
+# function, two-space indentation, ``{}`` and ``[]`` when empty.
+
+_quote = json.encoder.encode_basestring_ascii
 
 
-def _render_store(store, abstract: bool, show=repr) -> dict:
-    if store is None:
-        return {}
-    items = sorted(store.items(), key=lambda kv: sort_key(kv[0]))
-    if abstract:
-        return {repr(a): sorted(show(v) for v in vs) for a, vs in items}
-    return {repr(a): show(v) for a, v in items}
+def _json_block(open_: str, members, close: str, depth: int) -> str:
+    """A JSON object or array of already-rendered members, opened on a line
+    indented ``depth`` levels of two spaces."""
+    indent = "\n" + "  " * depth
+    body = ("," + indent + "  ").join(members)
+    return f"{open_}{indent}  {body}{indent}{close}" if body else open_ + close
+
+
+class _JsonMemo:
+    """What one ``emit_json`` call has rendered, keyed by object identity.
+    Every keyed object is held by a row of the model being written, so no
+    identity is reused while the memo lives."""
+
+    def __init__(self):
+        self.envs = {}  # id(env) -> text
+        self.stores = {}  # (id(store), show, abstract) -> text
+        self.entries = {}  # (id(address), id(storable), show, abstract) -> (sort key, text)
+        self.addresses = {}  # id(address) -> (sort key, quoted repr)
+
+    def address(self, a) -> tuple:
+        got = self.addresses.get(id(a))
+        if got is None:
+            got = self.addresses[id(a)] = (sort_key(a), _quote(repr(a)))
+        return got
+
+
+def _render_env(env, memo) -> str:
+    """The environment's JSON object text, variables in name order."""
+    if not env:
+        return "{}"
+    text = memo.envs.get(id(env))
+    if text is None:
+        pairs = sorted(env.items(), key=lambda kv: kv[0])
+        members = [f"{_quote(x)}: {_quote(repr(a))}" for x, a in pairs]
+        text = memo.envs[id(env)] = _json_block("{", members, "}", 3)
+    return text
+
+
+def _render_store(store, abstract: bool, show, memo) -> str:
+    """The store's JSON object text: each address's ``repr`` maps to
+    ``show`` of its storable, or for an abstract store to the sorted list
+    of ``show`` of its values, entries in ``sort_key`` order of address.
+
+    A store, an entry and an address are each rendered once per ``memo``,
+    so a store not seen before only looks its entries up, sorts them by
+    their kept keys and joins them."""
+    if not store:
+        return "{}"
+    text = memo.stores.get((id(store), show, abstract))
+    if text is not None:
+        return text
+    parts = []
+    for a, v in store.items():
+        ident = (id(a), id(v), show, abstract)
+        part = memo.entries.get(ident)
+        if part is None:
+            key, name = memo.address(a)
+            if abstract:
+                value = _json_block("[", map(_quote, sorted(show(w) for w in v)), "]", 4)
+            else:
+                value = _quote(show(v))
+            part = memo.entries[ident] = (key, f"{name}: {value}")
+        parts.append(part)
+    parts.sort()
+    text = _json_block("{", (entry for _key, entry in parts), "}", 3)
+    memo.stores[id(store), show, abstract] = text
+    return text
 
 
 def _mono_repr(v) -> str:
@@ -286,6 +352,10 @@ def _prepare_security(args, program):
     granted = frozenset()
     if args.annotate is not None:
         granted = frozenset(p for p in args.annotate.split(",") if p)
+        for p in sorted(granted):
+            error = _ident_error(p, "a permission")
+            if error is not None:
+                raise ConfigError(f"--annotate: {error}")
         e = annotate(e, granted)
     universe = program.permissions or (permissions_used(e) | granted)
     return e, universe
@@ -497,30 +567,41 @@ def emit_text(model: Model) -> str:
 
 
 def emit_json(model: Model) -> str:
-    obj = {
-        "machine": model.machine,
-        "k": model.k,
-        "states": [
-            {
-                "id": r.id,
-                "control": r.control,
-                "env": _render_env(r.env),
-                "store": _render_store(r.store, r.abstract, r.show),
-                "kont": r.kont,
-                "time": r.time,
-                "final": r.final,
-            }
-            for r in model.rows
-        ],
-        "edges": [[i, j] for i, j in model.edges],
-        "initial": model.initial,
-        "summary": {
-            "stateCount": len(model.rows),
-            "finals": model.finals,
-            "valueFlow": model.value_flow,
-        },
-    }
-    return json.dumps(obj, indent=2)
+    """The run as one JSON document.  The states, most of it, are written
+    as fragments into the list that is joined once at the end, so a store
+    text shared by many rows is held once, in the memo, until that join."""
+    memo = _JsonMemo()
+    edges = [_json_block("[", (str(i), str(j)), "]", 2) for i, j in model.edges]
+    flow = [
+        f"{_quote(x)}: " + _json_block("[", map(_quote, vs), "]", 3)
+        for x, vs in model.value_flow.items()
+    ]
+    summary = [
+        f'"stateCount": {len(model.rows)}',
+        '"finals": ' + _json_block("[", map(str, model.finals), "]", 2),
+        '"valueFlow": ' + _json_block("{", flow, "}", 2),
+    ]
+    out = [f'{{\n  "machine": {_quote(model.machine)},\n  "k": {model.k},\n  "states": [']
+    sep = "\n    {"
+    for r in model.rows:
+        out += (
+            f'{sep}\n      "id": {r.id},\n      "control": {_quote(r.control)},\n      "env": ',
+            _render_env(r.env, memo),
+            ',\n      "store": ',
+            _render_store(r.store, r.abstract, r.show, memo),
+            f',\n      "kont": {_quote(r.kont)},\n      "time": {_quote(r.time)},'
+            f'\n      "final": {"true" if r.final else "false"}\n    }}',
+        )
+        sep = ",\n    {"
+    out += (
+        "\n  ]" if model.rows else "]",
+        ',\n  "edges": ',
+        _json_block("[", edges, "]", 1),
+        f',\n  "initial": {model.initial},\n  "summary": ',
+        _json_block("{", summary, "}", 1),
+        "\n}",
+    )
+    return "".join(out)
 
 
 def _dot_escape(s: str) -> str:

@@ -142,6 +142,17 @@ class FrozenMap(Mapping):
     def __len__(self) -> int:
         return len(self._d)
 
+    # The dict's own views are read-only and iterate in C; the Mapping
+    # defaults would call __iter__ and __getitem__ once per item.
+    def items(self):
+        return self._d.items()
+
+    def keys(self):
+        return self._d.keys()
+
+    def values(self):
+        return self._d.values()
+
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = sum(map(hash, self._d.items()))

@@ -199,11 +199,19 @@ class _Tokens:
         return t
 
 
-def _check_ident(name: str, line: int, col: int, role: str) -> str:
+def _ident_error(name: str, role: str) -> str | None:
+    """Why ``name`` cannot be used as ``role``, or ``None`` if it can."""
     if name in KEYWORDS:
-        raise ParseError(f"keyword {name!r} cannot be used as {role}", line, col)
+        return f"keyword {name!r} cannot be used as {role}"
     if not _IDENT.match(name):
-        raise ParseError(f"invalid identifier {name!r}", line, col)
+        return f"invalid identifier {name!r}"
+    return None
+
+
+def _check_ident(name: str, line: int, col: int, role: str) -> str:
+    error = _ident_error(name, role)
+    if error is not None:
+        raise ParseError(error, line, col)
     return name
 
 

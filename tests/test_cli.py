@@ -168,6 +168,17 @@ class TestAnnotation:
         r = run_cli(tmp_path, TEST_NO_FRAME, "acm", "--annotate", "p,q")
         assert r.returncode == 0
 
+    @pytest.mark.parametrize("names", ["a b,lambda", "p,lambda", "p,(q)", "p, q"])
+    def test_annotate_rejects_what_the_parser_rejects(self, tmp_path, names):
+        r = run_cli(tmp_path, TEST_NO_FRAME, "cm", "--annotate", names)
+        assert r.returncode == 2, (names, r.stdout)
+        assert r.stderr.startswith("config error:") and r.stdout == ""
+
+    def test_annotate_skips_empty_names(self, tmp_path):
+        r = run_cli(tmp_path, TEST_NO_FRAME, "cm", "--annotate", ",p,,q,")
+        assert r.returncode == 0
+        assert "Final: (lambda (a) (frame (p q) a))" in r.stdout
+
 
 class TestJsonFormat:
     def test_schema_shape_and_key_order(self, tmp_path):
@@ -266,6 +277,8 @@ class TestDeterminism:
             (PRECISION, ("0cfa", "--widen", "--format", "json")),
             (TEST_NO_FRAME, ("cm", "--annotate", "p,q", "--format", "json")),
             (TEST_NO_FRAME, ("acm", "--format", "text")),
+            (PRECISION, ("kcfa", "--k", "1", "--gc", "--format", "json")),
+            (OMEGA, ("ceskt", "--fuel", "300", "--format", "json")),
         ],
     )
     def test_output_is_independent_of_hash_seed(self, tmp_path, program, args):

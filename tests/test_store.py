@@ -87,6 +87,17 @@ class TestFrozenMap:
         assert "a" in m and "b" not in m
         assert list(m.items()) == [("a", 1)]
 
+    def test_views_match_a_dict_and_leave_the_map_alone(self):
+        pairs = [(FreshA(2), "b"), (BindA("x", Tick(1)), "a"), (FreshA(0), "c")]
+        m, d = FrozenMap(pairs), dict(pairs)
+        h, r = hash(m), repr(m)
+        assert m.items() == d.items() and list(m.items()) == list(d.items())
+        assert m.keys() == d.keys() and list(m.keys()) == list(d.keys())
+        assert list(m.values()) == list(d.values())
+        assert (FreshA(0), "c") in m.items() and (FreshA(0), "z") not in m.items()
+        assert not hasattr(m.items(), "__setitem__") and not hasattr(m.keys(), "add")
+        assert hash(m) == h and repr(m) == r and m == FrozenMap(d)
+
 
 class TestTimes:
     def test_tick_order(self):
