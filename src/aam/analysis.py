@@ -249,11 +249,14 @@ def state_leq(s1, s2) -> bool:
 @dataclass(frozen=True)
 class WidenedSystem:
     """Contexts are states with the store stripped (set to the empty
-    abstract store); one global store serves all of them."""
+    abstract store); one global store serves all of them.  ``edges`` holds
+    each (context, successor context) pair that stepping a context against
+    the final store yields."""
 
     contexts: frozenset
     store: FrozenMap
     iterations: int
+    edges: frozenset
 
 
 def strip_store(state):
@@ -264,7 +267,8 @@ def widened_fixpoint(initial, successors) -> WidenedSystem:
     """Kleene iteration from the empty system.  Each round steps every
     context against the global store, joins all produced stores, and adds
     the injected context; ``iterations`` counts the strictly-growing
-    rounds."""
+    rounds.  The last round changes nothing, so the steps it took are the
+    system's edges."""
     contexts: set = set()
     store = EMPTY_ASTORE
     inj = strip_store(initial)
@@ -272,13 +276,16 @@ def widened_fixpoint(initial, successors) -> WidenedSystem:
     while True:
         new_contexts = set(contexts)
         new_store = store
+        edges = []
         for ctx in contexts:
             for t in successors(dataclasses.replace(ctx, store=store)):
-                new_contexts.add(strip_store(t))
+                succ = strip_store(t)
+                new_contexts.add(succ)
+                edges.append((ctx, succ))
                 new_store = astore_join(new_store, t.store)
         new_contexts.add(inj)
         if new_contexts == contexts and new_store == store:
-            return WidenedSystem(frozenset(contexts), store, iterations)
+            return WidenedSystem(frozenset(contexts), store, iterations, frozenset(edges))
         contexts, store = new_contexts, new_store
         iterations += 1
 

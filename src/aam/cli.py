@@ -16,8 +16,14 @@ machine gets stuck, 4 when an internal invariant is violated (a bug in the
 package, reported in one line).
 
 All emitted formats are byte-deterministic for a fixed configuration and
-input: states appear in first-discovery order and every set is rendered
-sorted.
+input: states appear in first-discovery order (the contexts of a widened
+run in ``repr`` order) and every set is rendered sorted.
+
+A runner only picks a machine (``_concrete_parts``, ``_abstract_parts``)
+and a search (``trace_from``, ``explore_states``, ``widened_fixpoint``,
+the pushdown solver); ``_model`` assembles every run's output from the
+search's states, edges and finals.  A widened run prints the edges the
+fixpoint's last round found and steps no context again.
 
 Only JSON prints each state's environment and store.  A run's rows keep
 them unrendered and ``emit_json`` renders them, so text and dot output,
@@ -58,16 +64,7 @@ from .inspection import (
 from .lazy import inject_alk, inject_lk, is_final_alk, step_lk, step_lk_star_abstract
 from .machines import Ar, Closure, FRESH_POLICY, Fn, MACHINES, trace_from
 from .pushdown import reachable_pushdown, reachable_pushdown_widened
-from .store import (
-    Addr,
-    BindA,
-    FrozenMap,
-    InvariantError,
-    MonoBindA,
-    MonoUpdateA,
-    UpdateA,
-    sort_key,
-)
+from .store import Addr, InvariantError, sort_key
 from .syntax import (
     CORE_FORMS,
     Exp,
@@ -264,6 +261,25 @@ def _state_row(i, state, final, abstract, mono=False) -> Row:
     )
 
 
+def _model(args, states, row, *, edges, initial, finals, value_flow, headline, extras) -> Model:
+    """The one assembly of a run's output: ``row(i, state, final)`` renders
+    each state, and edges and finals, given as any collection of indices,
+    print sorted."""
+    finals = sorted(finals)
+    final_set = set(finals)
+    return Model(
+        machine=args.machine,
+        k=args.k or 0,
+        rows=[row(i, s, i in final_set) for i, s in enumerate(states)],
+        edges=sorted(edges),
+        initial=initial,
+        finals=finals,
+        value_flow=value_flow,
+        headline=headline,
+        extras=extras,
+    )
+
+
 def _value_lambda(w):
     from .lazy import Computed
 
@@ -276,20 +292,12 @@ def _value_lambda(w):
     return None
 
 
-def _binding_var(a) -> str | None:
-    if isinstance(a, (MonoBindA, MonoUpdateA)):
-        return a.var
-    if isinstance(a, (BindA, UpdateA)):
-        return a.var
-    return None
-
-
 def projection_flow(stores) -> dict:
     """Variable -> lambdas, read off binding addresses (contours dropped)."""
     flow: dict[str, set[str]] = {}
     for store in stores:
         for a, vs in store.items():
-            var = _binding_var(a)
+            var = getattr(a, "var", None)
             if var is None:
                 continue
             values = vs if isinstance(vs, frozenset) else (vs,)
@@ -361,71 +369,59 @@ def _prepare_security(args, program):
     return e, universe
 
 
-def _run_concrete(args, program) -> tuple[Model, int]:
+def _concrete_parts(args, program):
+    """Initial state and step function per machine."""
     machine = args.machine
-    fuel = 10000 if args.fuel is None else args.fuel
     e = program.exp
     if machine in MACHINES:
         check_closed(e)
         check_features(e, CORE_FORMS, "core")
         inject, rawstep = MACHINES[machine]
         initial = inject(e, FRESH_POLICY) if machine == "ceskt" else inject(e)
-        step = lambda s: rawstep(s, FRESH_POLICY)
-    elif machine in LK_VARIANT:
+        return initial, lambda s: rawstep(s, FRESH_POLICY)
+    if machine in LK_VARIANT:
         variant = LK_VARIANT[machine]
-        initial = inject_lk(e)
-        step = lambda s: step_lk(s, variant)
-    elif machine == "ext":
-        initial = inject_extended(e)
-        step = lambda s: step_extended(s)
-    else:
-        e, universe = _prepare_security(args, program)
-        initial = inject_cm(e, universe)
-        step = lambda s: step_cm(s, universe)
+        return inject_lk(e), lambda s: step_lk(s, variant)
+    if machine == "ext":
+        return inject_extended(e), step_extended
+    e, universe = _prepare_security(args, program)
+    return inject_cm(e, universe), lambda s: step_cm(s, universe)
+
+
+def _run_concrete(args, program) -> tuple[Model, int]:
+    initial, step = _concrete_parts(args, program)
     if args.gc:
         initial = collect(initial)
         step = collecting_step(step)
-    trace = trace_from(step, initial, fuel)
-
+    trace = trace_from(step, initial, 10000 if args.fuel is None else args.fuel)
     n = len(trace.states)
-    finals = [n - 1] if trace.outcome == "final" else []
-    rows = [
-        _state_row(i, s, final=(i in finals), abstract=False)
-        for i, s in enumerate(trace.states)
-    ]
-    edges = [(i, i + 1) for i in range(n - 1)]
     if trace.outcome == "final":
         headline = f"Final: {render_value(trace.value)}"
-        code = 0
     elif trace.outcome == "fail":
         headline = "Fail"
-        code = 0
     elif trace.outcome == "fuel":
         headline = f"Out of fuel after {trace.steps} steps"
-        code = 0
     else:
         headline = f"Stuck: {trace.reason}"
-        code = 3
-    model = Model(
-        machine=machine,
-        k=0,
-        rows=rows,
-        edges=edges,
+    model = _model(
+        args,
+        trace.states,
+        lambda i, s, final: _state_row(i, s, final, abstract=False),
+        edges=[(i, i + 1) for i in range(n - 1)],
         initial=0,
-        finals=finals,
+        finals=[n - 1] if trace.outcome == "final" else [],
         value_flow=env_scan_flow(trace.states),
         headline=headline,
         extras=[f"steps: {trace.steps}"],
     )
-    return model, code
+    return model, 3 if trace.outcome == "stuck" else 0
 
 
 def _abstract_parts(args, program):
     """Initial state, successor function, and finality test per machine."""
     machine = args.machine
-    k = args.k if args.k is not None else 0
     e = program.exp
-    policy = KCFAPolicy(k)
+    policy = KCFAPolicy(args.k or 0)
     if machine in ("kcfa", "0cfa"):
         return inject_abstract(e, policy), (lambda s: step_abstract(s, policy)), is_final_abstract
     if machine == "alk":
@@ -448,99 +444,66 @@ def _pushdown_model(args, program) -> Model:
     else:
         graph = reachable_pushdown(program.exp)
         extras = []
-    rows = []
-    finals = set(graph.finals)
-    for i, node in enumerate(graph.nodes):
-        rows.append(
-            _row(
-                i,
-                node.control.exp,
-                node.control.env,
-                node.control.store,
-                node.top,
-                None,
-                i in finals,
-                abstract=True,
-            )
-        )
     summaries = sorted((i, j) for i, j, kind in graph.edges if kind == "summary")
-    extras += [f"summary edge: {i} -> {j}" for i, j in summaries]
-    return Model(
-        machine="pushdown",
-        k=0,
-        rows=rows,
-        edges=sorted(graph.edge_pairs()),
+    return _model(
+        args,
+        graph.nodes,
+        lambda i, node, final: _row(
+            i, node.control.exp, node.control.env, node.control.store, node.top, None, final, True
+        ),
+        edges=graph.edge_pairs(),
         initial=graph.initial,
-        finals=sorted(finals),
+        finals=graph.finals,
         value_flow=projection_flow(n.control.store for n in graph.nodes),
-        headline=f"Saturated {len(rows)} nodes, {len(graph.finals)} final",
-        extras=extras,
+        headline=f"Saturated {len(graph.nodes)} nodes, {len(graph.finals)} final",
+        extras=extras + [f"summary edge: {i} -> {j}" for i, j in summaries],
     )
 
 
-def _run_abstract(args, program) -> tuple[Model, int]:
-    machine = args.machine
-    k = args.k if args.k is not None else 0
-    if machine == "pushdown":
-        return _pushdown_model(args, program), 0
+def _run_abstract(args, program) -> Model:
+    if args.machine == "pushdown":
+        return _pushdown_model(args, program)
     initial, successors, is_final = _abstract_parts(args, program)
-    mono = machine == "0cfa"
+    mono = args.machine == "0cfa"
     if args.widen:
         system = widened_fixpoint(initial, successors)
+        store = system.store
         states = sorted(system.contexts, key=sort_key)
         index = {s: i for i, s in enumerate(states)}
-        edges = set()
-        for i, ctx in enumerate(states):
-            for t in successors(dataclasses.replace(ctx, store=system.store)):
-                j = index.get(strip_store(t))
-                if j is not None:
-                    edges.add((i, j))
         finals = [i for i, s in enumerate(states) if is_final(s)]
-        rows = [
-            _state_row(i, dataclasses.replace(s, store=system.store), i in finals, True, mono)
-            for i, s in enumerate(states)
-        ]
-        model = Model(
-            machine=machine,
-            k=k,
-            rows=rows,
-            edges=sorted(edges),
+        return _model(
+            args,
+            states,
+            lambda i, s, final: _state_row(i, dataclasses.replace(s, store=store), final, True, mono),
+            edges=[(index[s], index[t]) for s, t in system.edges],
             initial=index[strip_store(initial)],
             finals=finals,
-            value_flow=projection_flow([system.store]),
+            value_flow=projection_flow([store]),
             headline=f"Widened to {len(states)} contexts, {len(finals)} final",
-            extras=[f"iterations: {system.iterations}", f"store entries: {len(system.store)}"],
+            extras=[f"iterations: {system.iterations}", f"store entries: {len(store)}"],
         )
-        return model, 0
     if args.gc:
         initial = collect(initial, abstract=True)
         successors = collecting_successors(successors)
     graph = explore_states(initial, successors, is_final)
-    finals = list(graph.finals)
-    final_set = set(finals)
-    rows = [
-        _state_row(i, s, i in final_set, True, mono)
-        for i, s in enumerate(graph.states)
-    ]
-    model = Model(
-        machine=machine,
-        k=k,
-        rows=rows,
-        edges=sorted(graph.edges),
+    return _model(
+        args,
+        graph.states,
+        lambda i, s, final: _state_row(i, s, final, True, mono),
+        edges=graph.edges,
         initial=graph.initial,
-        finals=finals,
-        value_flow=projection_flow(getattr(s, "store", FrozenMap()) for s in graph.states),
-        headline=f"Explored {len(rows)} states, {len(finals)} final",
+        finals=graph.finals,
+        value_flow=projection_flow(s.store for s in graph.states),
+        headline=f"Explored {len(graph.states)} states, {len(graph.finals)} final",
         extras=[],
     )
-    return model, 0
 
 
 def _dispatch(args, program) -> tuple[Model, int]:
     _validate_flags(args)
     if args.machine in CONCRETE:
         return _run_concrete(args, program)
-    return _run_abstract(args, program)
+    return _run_abstract(args, program), 0
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +612,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built once: a parser keeps no state between ``parse_args`` calls.
+_PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         text = Path(args.file).read_text()
     except OSError as ex:

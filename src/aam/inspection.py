@@ -39,6 +39,7 @@ from typing import Union
 
 from .analysis import alpha_fields
 from .machines import (
+    CESKtState,
     Closure,
     FRESH_POLICY,
     FailFinal,
@@ -54,7 +55,6 @@ from .store import (
     EMPTY_MAP,
     Env,
     FrozenMap,
-    Time,
     cached_repr,
 )
 from .syntax import (
@@ -70,6 +70,7 @@ from .syntax import (
     check_closed,
     check_features,
     permissions_used,
+    relabel,
 )
 
 GRANT = "grant"
@@ -122,19 +123,9 @@ def mark(kont: Kont, perms: frozenset[str], value: str) -> Kont:
     return dataclasses.replace(kont, marks=kont.marks.update({p: value for p in perms}))
 
 
-@dataclass(frozen=True)
-class CMStarState:
-    """A security-machine state; ``time`` is ``None`` in the linked
-    machine."""
-
-    ctrl: Exp
-    env: Env
-    store: FrozenMap
-    kont: Kont
-    time: Time = None
-
-
-CMState = CMStarState
+# Security-machine states have the core store machines' fields; ``time`` is
+# ``None`` in the linked machine.
+CMState = CMStarState = CESKtState
 
 
 def _validate(e: Exp, universe: frozenset[str]) -> None:
@@ -237,8 +228,9 @@ def fails_hat(perms: frozenset[str], kont: Kont, store: FrozenMap) -> bool:
 
 def annotate(e: Exp, perms: frozenset[str]) -> Exp:
     """Wrap every lambda body in a frame for perms; intersect grants with
-    perms.  Labels are regenerated in preorder."""
-    from .syntax import relabel
+    perms.  Labels are regenerated in preorder.  A form outside the
+    security language raises ``FeatureError``."""
+    check_features(e, SECURITY_FORMS, "security")
 
     def go(node: Exp) -> Exp:
         if isinstance(node, Ref):

@@ -35,6 +35,7 @@ from typing import Union
 
 from .analysis import alpha_fields
 from .machines import (
+    CESKtState,
     Closure,
     FRESH_POLICY,
     Final,
@@ -50,11 +51,9 @@ from .store import (
     Addr,
     EMPTY_MAP,
     Env,
-    FrozenMap,
     InvariantError,
     TAG_KONT,
     TAG_THUNK,
-    Time,
     cached_repr,
 )
 from .syntax import App, CORE_FORMS, Exp, Lam, Ref, check_closed, check_features
@@ -111,18 +110,9 @@ class ApplyExpK(Kont):
         return f"ApX({self.exp!r} {self.env!r} {self.tail!r})"
 
 
-@dataclass(frozen=True)
-class LKStarState:
-    """A by-need state; ``time`` is ``None`` in the linked machine."""
-
-    ctrl: Exp
-    env: Env
-    store: FrozenMap
-    kont: Kont
-    time: Time = None
-
-
-LKState = LKStarState
+# By-need states have the core store machines' fields; ``time`` is ``None``
+# in the linked machine.
+LKState = LKStarState = CESKtState
 
 
 def inject_lk(e: Exp) -> LKStarState:

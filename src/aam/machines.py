@@ -168,7 +168,9 @@ class CEKState:
 @dataclass(frozen=True)
 class CESKtState:
     """A state of the store machines; ``time`` is ``None`` in the untimed
-    CESK and CESK* machines."""
+    CESK and CESK* machines.  The by-need and security machines' states
+    (``lazy.LKStarState``, ``inspection.CMStarState``) are this class too:
+    only their frames and storables differ."""
 
     ctrl: Exp
     env: Env

@@ -35,6 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from functools import cache
+from itertools import count
 
 
 class SyntaxModuleError(Exception):
@@ -175,7 +176,7 @@ KEYWORDS = frozenset(
 
 _TOKEN = re.compile(r"\(|\)|[^\s();]+")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_!?*+<>=.-]*\Z")
-_PRAGMA = re.compile(r"^;;\s*permissions:\s*\(([^)]*)\)\s*$")
+_PRAGMA = re.compile(r"^\s*;;\s*permissions:\s*\(([^)]*)\)\s*$")
 
 
 class _Tokens:
@@ -326,14 +327,16 @@ def parse(text: str) -> Exp:
 def parse_program(text: str) -> Program:
     """Parse an expression plus the optional permission-universe pragma."""
     perms: frozenset[str] = frozenset()
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
-        m = _PRAGMA.match(stripped)
+        m = _PRAGMA.match(line)
         if m:
-            names = [n for n in m.group(1).split() if n]
-            perms = frozenset(names)
+            perms = frozenset(
+                _check_ident(n.group(), lineno, m.start(1) + n.start() + 1, "a permission")
+                for n in re.finditer(r"\S+", m.group(1))
+            )
             break
         if not stripped.startswith(";"):
             break
@@ -435,38 +438,15 @@ def free_vars(e: Exp) -> frozenset[str]:
 
 
 def relabel(e: Exp) -> Exp:
-    """Reassign labels in preorder from 0, preserving structure."""
-    counter = iter(range(len(list(iter_nodes(e)))))
+    """Reassign labels in preorder from 0, preserving structure.  Every
+    form declares its children in source order, so rebuilding each node's
+    fields in order visits them in preorder."""
+    counter = count()
 
     def go(node: Exp) -> Exp:
-        lbl = next(counter)
-        if isinstance(node, Ref):
-            return Ref(lbl, node.name)
-        if isinstance(node, Lam):
-            return Lam(lbl, node.param, go(node.body))
-        if isinstance(node, App):
-            return App(lbl, go(node.fun), go(node.arg))
-        if isinstance(node, FalseLit):
-            return FalseLit(lbl)
-        if isinstance(node, If):
-            return If(lbl, go(node.test), go(node.then), go(node.other))
-        if isinstance(node, SetBang):
-            return SetBang(lbl, node.name, go(node.value))
-        if isinstance(node, Callcc):
-            return Callcc(lbl)
-        if isinstance(node, Throw):
-            return Throw(lbl, go(node.value))
-        if isinstance(node, Catch):
-            return Catch(lbl, go(node.body), go(node.handler))
-        if isinstance(node, Fail):
-            return Fail(lbl)
-        if isinstance(node, Frame):
-            return Frame(lbl, node.perms, go(node.body))
-        if isinstance(node, Grant):
-            return Grant(lbl, node.perms, go(node.body))
-        if isinstance(node, Test):
-            return Test(lbl, node.perms, go(node.then), go(node.other))
-        raise TypeError(f"not an expression: {node!r}")
+        label = next(counter)
+        rest = (getattr(node, name) for name in _field_names(type(node))[1:])
+        return type(node)(label, *(go(v) if isinstance(v, Exp) else v for v in rest))
 
     return go(e)
 

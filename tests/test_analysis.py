@@ -3,6 +3,8 @@ monovariant machine."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from corpus import divergent_corpus, terminating_corpus
@@ -23,7 +25,11 @@ from aam.analysis import (
     state_leq,
     step_abstract,
     strip_store,
+    widened_fixpoint,
 )
+from aam.extended import inject_aext, step_extended_abstract
+from aam.inspection import inject_acm, step_cm_abstract
+from aam.lazy import inject_alk, step_lk_star_abstract
 from aam.machines import TIME_KEYED_POLICY, Closure, run_trace
 from aam.store import (
     BindA,
@@ -170,6 +176,42 @@ class TestWidening:
     def test_widened_store_is_join_closed(self):
         w = analyze_widened_0cfa(P_PRECISION)
         assert all(vs for vs in w.store.values())
+
+
+def stepped_edges(system, successors) -> frozenset:
+    """The edges as the command line used to find them: every context
+    stepped once more against the final store."""
+    edges = set()
+    for ctx in system.contexts:
+        for t in successors(dataclasses.replace(ctx, store=system.store)):
+            if strip_store(t) in system.contexts:
+                edges.add((ctx, strip_store(t)))
+    return frozenset(edges)
+
+
+WIDENED_MACHINES = {
+    "kcfa0": (0, inject_abstract, step_abstract),
+    "kcfa1": (1, inject_abstract, step_abstract),
+    "alk": (0, inject_alk, step_lk_star_abstract),
+    "aext": (0, inject_aext, step_extended_abstract),
+    "acm": (
+        0,
+        lambda e, p: inject_acm(e, frozenset(), p),
+        lambda s, p: step_cm_abstract(s, frozenset(), p),
+    ),
+}
+
+
+class TestWidenedEdges:
+    @pytest.mark.parametrize("machine", sorted(WIDENED_MACHINES))
+    def test_fixpoint_edges_are_the_last_round_stepped_again(self, machine):
+        k, inject, step = WIDENED_MACHINES[machine]
+        for e in terminating_corpus() + divergent_corpus():
+            policy = KCFAPolicy(k)
+            successors = lambda s: step(s, policy)
+            system = widened_fixpoint(inject(e, policy), successors)
+            assert system.edges == stepped_edges(system, successors), unparse(e)
+            assert all(s in system.contexts and t in system.contexts for s, t in system.edges)
 
 
 class TestMonovariantMachine:

@@ -174,6 +174,14 @@ class TestAnnotation:
         assert r.returncode == 2, (names, r.stdout)
         assert r.stderr.startswith("config error:") and r.stdout == ""
 
+    @pytest.mark.parametrize("machine", cli.ANNOTATABLE)
+    def test_annotate_rejects_forms_outside_the_security_language(self, tmp_path, machine):
+        r = run_cli(tmp_path, "(if #f (lambda (a) a) (lambda (b) b))", machine, "--annotate", "p")
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("config error: form '(if #f ")
+        assert "not part of the security machine's language" in r.stderr
+        assert "Traceback" not in r.stderr and r.stdout == ""
+
     def test_annotate_skips_empty_names(self, tmp_path):
         r = run_cli(tmp_path, TEST_NO_FRAME, "cm", "--annotate", ",p,,q,")
         assert r.returncode == 0
@@ -235,6 +243,34 @@ class TestMonovariantPrinter:
             assert mono["summary"]["finals"] == k0["summary"]["finals"]
             assert mono["summary"]["valueFlow"] == k0["summary"]["valueFlow"]
             assert all(r["env"] == {} and r["time"] == "" for r in mono["states"])
+
+
+class TestWidenedEdges:
+    """A widened run prints the edges the fixpoint found: once
+    ``widened_fixpoint`` returns, no context is stepped again."""
+
+    def test_no_successor_call_after_the_fixpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "program.scm"
+        path.write_text(PRECISION + "\n")
+        calls = []
+        at_return = []
+
+        def counted_step(s, policy, _step=cli.step_abstract):
+            calls.append(s)
+            return _step(s, policy)
+
+        def fixpoint(*args, _fixpoint=cli.widened_fixpoint):
+            system = _fixpoint(*args)
+            at_return.append(len(calls))
+            return system
+
+        monkeypatch.setattr(cli, "step_abstract", counted_step)
+        monkeypatch.setattr(cli, "widened_fixpoint", fixpoint)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert run(["kcfa", "--widen", str(path)]) == 0
+        assert "edges:" in out.getvalue()
+        assert at_return == [len(calls)] and calls
 
 
 class TestLazyRendering:

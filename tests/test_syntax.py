@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import pytest
 
 from corpus import (
@@ -15,6 +18,7 @@ from aam.syntax import (
     App,
     Callcc,
     Catch,
+    Exp,
     FalseLit,
     FeatureError,
     Frame,
@@ -148,6 +152,13 @@ class TestPragma:
         p = parse_program(";; permissions: ()\n(lambda (x) x)")
         assert p.permissions == frozenset()
 
+    @pytest.mark.parametrize("names,bad,col", [("p lambda", "lambda", 20), ("p (q", "(q", 20)])
+    def test_pragma_names_are_checked_like_permissions(self, names, bad, col):
+        text = f"\n;; permissions: ({names})\n(grant (p) (lambda (a) a))"
+        with pytest.raises(ParseError, match=re.escape(repr(bad))) as exc:
+            parse_program(text)
+        assert (exc.value.line, exc.value.col) == (2, col)
+
 
 class TestUnparse:
     def test_round_trip_everything(self):
@@ -210,6 +221,17 @@ class TestTreeUtilities:
         shifted = App(99, e.fun, e.arg)
         assert same_shape(relabel(shifted), e)
         assert relabel(shifted) == e
+
+    def test_relabel_numbers_every_form_in_preorder(self):
+        def zeroed(node):
+            return dataclasses.replace(node, label=0, **{
+                name: zeroed(getattr(node, name))
+                for name in ("body", "fun", "arg", "test", "then", "other", "value", "handler")
+                if isinstance(getattr(node, name, None), Exp)
+            })
+
+        for e in all_corpora():
+            assert relabel(zeroed(e)) == e, unparse(e)
 
     def test_check_labels_catches_duplicates(self):
         dup = Lam(0, "x", Ref(0, "x"))
