@@ -14,9 +14,12 @@ There are two ways to explore:
                        store-less contexts plus one store, iterated to a
                        fixed point
 
-0CFA is not a separate machine: ``explore_0cfa``, ``analyze_widened_0cfa``
-and ``step_0cfa`` read the same rules under ``MONOVARIANT``, the k = 0
-policy, whose addresses are variable names and site labels.
+The policy is ``machines.KCFAPolicy`` at a bound k: the allocator of the
+concrete time-keyed machine, ``KCFAPolicy(None)``, with every contour cut to
+its first k labels.  0CFA is not a separate machine: ``explore_0cfa``,
+``analyze_widened_0cfa`` and ``step_0cfa`` read the same rules under
+``MONOVARIANT``, the k = 0 policy, whose addresses are variable names and
+site labels.
 
 ``abstraction_map`` sends states of the concrete time-keyed machine into
 the k-bounded abstract state space by truncating every contour (in the time
@@ -31,14 +34,13 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
 
 from .machines import (
     CESKtState,
+    KCFAPolicy,
     MT,
     _core_rules,
     is_final_abstract,
-    tick_label,
 )
 from .store import (
     ABSTRACT_STORE,
@@ -53,7 +55,6 @@ from .store import (
     MonoBindA,
     MonoKontA,
     MonoUpdateA,
-    TAG_KONT,
     Time,
     UpdateA,
     astore_join,
@@ -65,47 +66,6 @@ from .syntax import CORE_FORMS, Exp, _field_names, check_closed, check_features
 # Abstract states have the concrete time-stamped machine's fields; only the
 # store they carry is read differently.
 AbstractState = CESKtState
-
-
-class KCFAPolicy:
-    """Contours of the last k control labels; k=0 degenerates to the
-    time-free monovariant address families, and every tick to the one
-    shared empty contour.
-
-    At k = 0 an address is a function of its variable or of its site and
-    tag, so the policy makes each one once and hands the same object out
-    on every later allocation; the addresses live as long as the policy."""
-
-    concrete = False
-
-    def __init__(self, k: int):
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        self.k = k
-        self.t0 = Contour(())
-        self._mono_bind = cache(MonoBindA)
-        self._mono_kont = cache(MonoKontA)
-        self._mono_update = cache(MonoUpdateA)
-
-    def tick(self, state, kont) -> Contour:
-        if self.k == 0:
-            return self.t0
-        return Contour(((tick_label(state.ctrl),) + state.time.labels)[: self.k])
-
-    def alloc_bind(self, var: str, state, kont) -> Addr:
-        if self.k == 0:
-            return self._mono_bind(var)
-        return BindA(var, self.tick(state, kont))
-
-    def alloc_kont(self, site: int, state, kont, tag: str = TAG_KONT) -> Addr:
-        if self.k == 0:
-            return self._mono_kont(site, tag)
-        return KontA(site, self.tick(state, kont), tag)
-
-    def alloc_update(self, var: str, state, kont) -> Addr:
-        if self.k == 0:
-            return self._mono_update(var)
-        return UpdateA(var, self.tick(state, kont))
 
 
 def inject_abstract(e: Exp, policy: KCFAPolicy) -> CESKtState:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import signal
 import sys
 from pathlib import Path
 from typing import Callable
@@ -619,8 +620,8 @@ _PARSER = build_parser()
 def run(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        text = Path(args.file).read_text()
-    except OSError as ex:
+        text = Path(args.file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     try:
@@ -641,6 +642,10 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> None:
+    # A reader that closes the pipe early (``aam ... | head``) ends the
+    # command the way it ends ``cat``, not with a BrokenPipeError traceback.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(run(argv))
 
 

@@ -24,10 +24,11 @@ concrete store semantics checks both and raises ``InvariantError``.
 
 * ``FRESH_POLICY``       numeric addresses (max-plus-one) and an integer
                          clock
-* ``TIME_KEYED_POLICY``  addresses that embed unbounded label contours
-* ``LINKED_POLICY``      ``FRESH_POLICY`` with every continuation frame
-                         allocated at itself, so frames link to frames
-* ``analysis.KCFAPolicy`` the bounded policies of the abstract machines
+* ``KCFAPolicy(k)``      label contours cut to the last k labels; the
+                         concrete ``TIME_KEYED_POLICY`` is ``KCFAPolicy(None)``
+* ``LinkedPolicy(base)`` ``base`` with every frame allocated at itself, so
+                         frames link to frames; ``LINKED_POLICY`` links
+                         ``FRESH_POLICY``
 
 The rules of CESK, CESK* and CESK*t are written once, in ``_core_rules``,
 against a store semantics from ``store``.  The three machines differ only
@@ -41,6 +42,7 @@ policy on timed ones, and ``analysis.step_abstract`` over abstract stores.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Union
 
 from .store import (
@@ -53,6 +55,10 @@ from .store import (
     FrozenMap,
     KontA,
     MachineStuck,
+    MonoBindA,
+    MonoKontA,
+    MonoUpdateA,
+    TAG_KONT,
     TAG_THUNK,
     Tick,
     Time,
@@ -195,7 +201,6 @@ class FreshTickPolicy:
     keeps on every store it writes, so allocation is O(1); a store no
     concrete write produced (one GC has restricted, say) is scanned once."""
 
-    concrete = True
     t0 = Tick(0)
 
     def tick(self, state, kont) -> Time:
@@ -211,46 +216,69 @@ class FreshTickPolicy:
         return fresh_addr(state.store)
 
 
-class TimeKeyedPolicy:
-    """Unbounded label contours; addresses embed the full allocation time.
+class KCFAPolicy:
+    """Contours of the last k control labels.  k = None cuts nothing: the
+    concrete time-keyed policy, whose times grow by a label per step so
+    every allocation is fresh, and whose states the truncation map sends to
+    each bounded k.  k=0 degenerates to the time-free monovariant address
+    families, and every tick to the one shared empty contour.
 
-    Times grow by one label per step, so every allocation is fresh.  This is
-    the concrete policy whose states the truncation map sends into the
-    k-bounded abstract state space.
-    """
+    At k = 0 an address is a function of its variable or of its site and
+    tag, so the policy makes each one once and hands the same object out
+    on every later allocation; the addresses live as long as the policy."""
 
-    concrete = True
-    t0 = Contour(())
+    def __init__(self, k: int | None):
+        if k is not None and k < 0:
+            raise ValueError("k must be non-negative")
+        self.k = k
+        self.t0 = Contour(())
+        self._mono_bind = cache(MonoBindA)
+        self._mono_kont = cache(MonoKontA)
+        self._mono_update = cache(MonoUpdateA)
 
-    def tick(self, state, kont) -> Time:
-        return Contour((tick_label(state.ctrl),) + state.time.labels)
+    def tick(self, state, kont) -> Contour:
+        if self.k == 0:
+            return self.t0
+        return Contour(((tick_label(state.ctrl),) + state.time.labels)[: self.k])
 
     def alloc_bind(self, var: str, state, kont) -> Addr:
+        if self.k == 0:
+            return self._mono_bind(var)
         return BindA(var, self.tick(state, kont))
 
-    def alloc_kont(self, site: int, state, kont, tag: str = "kont") -> Addr:
+    def alloc_kont(self, site: int, state, kont, tag: str = TAG_KONT) -> Addr:
+        if self.k == 0:
+            return self._mono_kont(site, tag)
         return KontA(site, self.tick(state, kont), tag)
 
     def alloc_update(self, var: str, state, kont) -> Addr:
+        if self.k == 0:
+            return self._mono_update(var)
         return UpdateA(var, self.tick(state, kont))
 
 
-class LinkedPolicy(FreshTickPolicy):
-    """Linked frames: a continuation frame is allocated at itself, so the
-    frame pushed on top of it holds it as its tail and the store never
-    sees it.  Bindings and thunks get numeric addresses from the store's
-    high-water mark, which a linked frame leaves as it was."""
+class LinkedPolicy:
+    """Linked frames over ``base``: a continuation frame is allocated at
+    itself, so the frame pushed on top of it holds it as its tail and the
+    store never sees it.  Times, bindings and thunks are the base's; its
+    methods are bound here directly, so no call layer is added."""
+
+    def __init__(self, base):
+        self.base = base
+        self.t0 = base.t0
+        self.tick = base.tick
+        self.alloc_bind = base.alloc_bind
 
     def alloc_kont(self, site: int, state, kont, tag: str = "kont"):
-        return fresh_addr(state.store) if tag == TAG_THUNK else kont
+        return self.base.alloc_kont(site, state, kont, tag) if tag == TAG_THUNK else kont
 
     def alloc_update(self, var: str, state, kont):
         return kont
 
 
 FRESH_POLICY = FreshTickPolicy()
-TIME_KEYED_POLICY = TimeKeyedPolicy()
-LINKED_POLICY = LinkedPolicy()
+TIME_KEYED_POLICY = KCFAPolicy(None)
+LINKED_POLICY = LinkedPolicy(FRESH_POLICY)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ computed by worklist saturation over three constraint rules:
 Binding addresses must come from a finite set.  The default policy keys a
 binding by the bound value's label (a one-deep contour), which keeps
 rebound variables at different call sites apart; a monovariant policy is
-also provided.  A concrete companion machine with an explicit stack and
-freshly allocated bindings is included for differential tests, along with
-a bounded-depth explicit-stack enumerator that validates the saturation.
+also provided.  The concrete companion the differential tests run is the
+``ceskt`` rules with linked frames, read as an explicit stack; a
+bounded-depth explicit-stack enumerator validates the saturation.
 """
 
 from __future__ import annotations
@@ -34,19 +34,21 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .machines import (
+    Ar,
+    CESKtState,
     Closure,
     FRESH_POLICY,
-    Final,
-    Next,
+    LinkedPolicy,
+    Mt,
     StepOutcome,
-    Stuck,
     Trace,
+    inject_ceskt,
+    step_ceskt,
     trace_from,
 )
 from .store import (
     Addr,
     BindA,
-    CONCRETE_STORE,
     Contour,
     EMPTY_ASTORE,
     EMPTY_MAP,
@@ -57,7 +59,6 @@ from .store import (
     astore_get,
     astore_join,
     sort_key,
-    store_get,
 )
 from .syntax import App, CORE_FORMS, Exp, Lam, Ref, check_closed, check_features
 
@@ -331,7 +332,7 @@ def enumerate_bounded(
 
 
 # ---------------------------------------------------------------------------
-# Concrete companion machine: explicit stack, fresh bindings
+# Concrete companion machine: the ceskt rules with linked frames
 # ---------------------------------------------------------------------------
 
 
@@ -344,45 +345,33 @@ class PdTraceState:
     time: object
 
 
-def inject_pd_trace(e: Exp, policy=FRESH_POLICY) -> PdTraceState:
+def inject_pd_trace(e: Exp, policy=FRESH_POLICY) -> CESKtState:
     check_closed(e)
     check_features(e, CORE_FORMS, "core")
-    return PdTraceState(e, EMPTY_MAP, EMPTY_MAP, (), policy.t0)
+    return inject_ceskt(e, policy)
 
 
-def step_pd_trace(s: PdTraceState, policy=FRESH_POLICY) -> StepOutcome:
-    c, env, store, stack = s.ctrl, s.env, s.store, s.stack
+def step_pd_trace(s: CESKtState, policy=FRESH_POLICY) -> StepOutcome:
+    return step_ceskt(s, LinkedPolicy(policy))
 
-    def advance():
-        return CONCRETE_STORE.tick(policy, s, None)
 
-    if isinstance(c, Ref):
-        addr = env.get(c.name)
-        if addr is None:
-            return Stuck(f"unbound variable {c.name}")
-        clo = store_get(store, addr)
-        if not isinstance(clo, Closure):
-            return Stuck(f"address {addr!r} does not hold a closure")
-        return Next(PdTraceState(clo.lam, clo.env, store, stack, advance()))
-    if isinstance(c, App):
-        return Next(PdTraceState(c.fun, env, store, stack + (ArP(c.arg, env),), advance()))
-    if isinstance(c, Lam):
-        if not stack:
-            return Final(Closure(c, env))
-        top = stack[-1]
-        if isinstance(top, ArP):
-            stack2 = stack[:-1] + (FnP(c, env),)
-            return Next(PdTraceState(top.exp, top.env, store, stack2, advance()))
-        u = advance()
-        addr = policy.alloc_bind(top.lam.param, s, None)
-        store2 = CONCRETE_STORE.alloc(store, addr, Closure(c, env))
-        env2 = top.env.set(top.lam.param, addr)
-        return Next(PdTraceState(top.lam.body, env2, store2, stack[:-1], u))
-    return Stuck(f"no rule for control {c!r}")
+def _pd_stack(kont) -> tuple:
+    frames = []
+    while not isinstance(kont, Mt):
+        frames.append(ArP(kont.exp, kont.env) if isinstance(kont, Ar) else FnP(kont.lam, kont.env))
+        kont = kont.tail
+    return tuple(reversed(frames))
 
 
 def run_pd_trace(e: Exp, fuel: int = 10000, policy=FRESH_POLICY) -> Trace:
-    return trace_from(lambda s: step_pd_trace(s, policy), inject_pd_trace(e, policy), fuel)
+    """Run the companion, laying each state's frames out as a ``stack`` of
+    ``ArP``/``FnP``, bottom first."""
+    linked = LinkedPolicy(policy)
+    trace = trace_from(lambda s: step_ceskt(s, linked), inject_pd_trace(e, policy), fuel)
+    trace.states = [
+        PdTraceState(s.ctrl, s.env, s.store, _pd_stack(s.kont), s.time) for s in trace.states
+    ]
+    return trace
 
 
 def alpha_pd_node(s: PdTraceState, depth: int) -> PdNode:

@@ -14,6 +14,7 @@ from aam.analysis import (
     abstraction_map,
     alpha_addr,
     alpha_env,
+    alpha_fields,
     alpha_time,
     analyze_widened,
     analyze_widened_0cfa,
@@ -40,6 +41,7 @@ from aam.store import (
     MonoKontA,
     MonoUpdateA,
     TAG_KONT,
+    TAG_REIFY,
     TAG_THUNK,
     Tick,
     astore_leq,
@@ -80,6 +82,22 @@ class TestTruncation:
                 a = abstraction_map(s, k)
                 assert a.ctrl is s.ctrl
                 assert len(a.time.labels) <= k
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_allocation_commutes_with_truncation(self, k):
+        """The soundness lemma: allocate with the unbounded policy and then
+        truncate, or truncate and then allocate with the bounded one."""
+        keyed, bounded = TIME_KEYED_POLICY, KCFAPolicy(k)
+        for e in terminating_corpus():
+            for s in run_trace("ceskt", e, 1000, policy=keyed).states:
+                a, site = alpha_fields(s, k), s.ctrl.label
+                assert alpha_time(keyed.tick(s, s.kont), k) == bounded.tick(a, a.kont)
+                assert alpha_addr(keyed.alloc_bind("x", s, s.kont), k) == bounded.alloc_bind("x", a, a.kont)
+                assert alpha_addr(keyed.alloc_update("x", s, s.kont), k) == bounded.alloc_update("x", a, a.kont)
+                for tag in (TAG_KONT, TAG_THUNK, TAG_REIFY):
+                    assert alpha_addr(keyed.alloc_kont(site, s, s.kont, tag), k) == bounded.alloc_kont(
+                        site, a, a.kont, tag
+                    )
 
 
 class TestSimulation:

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -126,6 +127,39 @@ class TestExitCodes:
         )
         assert r.returncode == 2
         assert "error" in r.stderr
+
+    def test_undecodable_file_is_an_unreadable_file(self, tmp_path):
+        source = tmp_path / "program.scm"
+        source.write_bytes(b"\xff\xfe(lambda (x) x)")
+        r = subprocess.run(
+            [sys.executable, "-m", "aam.cli", "cek", str(source)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED="0"),
+            timeout=120,
+        )
+        assert r.returncode == 2
+        assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+    def test_closed_output_pipe_ends_the_command_like_cat(self, tmp_path):
+        # About 370 KB of text: far more than a pipe buffers, so the writer
+        # meets the closed pipe.
+        source = tmp_path / "program.scm"
+        source.write_text(OMEGA + "\n")
+        p = subprocess.Popen(
+            [sys.executable, "-m", "aam.cli", "ceskt", "--fuel", "5000", str(source)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONHASHSEED="0"),
+        )
+        assert p.stdout.readline() == b"machine: ceskt\n"
+        p.stdout.close()
+        assert p.wait(timeout=120) == -signal.SIGPIPE
+        stderr = p.stderr.read().decode()
+        p.stderr.close()
+        assert "Traceback" not in stderr, stderr
 
     @pytest.mark.parametrize(
         "program,args",

@@ -3,9 +3,12 @@
 The linked machines (``cesk``, the three ``lk`` variants and ``cm``) hold
 the whole continuation in the ``kont`` register: it is a chain of frames
 ending in the empty continuation, and no frame is ever written to the
-store.  The store-allocated machines (``ceskstar``, ``ceskt``, ``lk*`` and
-``cm*``) hold one frame in the register and the rest in the store: every
-frame's tail, in the register or in the store, is an address.
+store.  So do the timed machines (``ceskt``, ``lk*`` and ``cm*``) under
+``LinkedPolicy(TIME_KEYED_POLICY)``: linking frames is independent of how
+times and bindings are allocated.  The store-allocated machines
+(``ceskstar``, ``ceskt``, ``lk*`` and ``cm*``) hold one frame in the
+register and the rest in the store: every frame's tail, in the register or
+in the store, is an address.
 
 Checked on every state of every trace over the seeded corpora; divergent
 programs run on a small fuel.
@@ -18,7 +21,16 @@ import pytest
 from corpus import UNIVERSE, divergent_corpus, security_corpus, terminating_corpus
 from aam.inspection import MtM, inject_cm, inject_cm_star, step_cm, step_cm_star
 from aam.lazy import VARIANTS, inject_lk, inject_lk_star, step_lk, step_lk_star
-from aam.machines import Kont, Mt, run_trace, trace_from
+from aam.machines import (
+    TIME_KEYED_POLICY,
+    Kont,
+    LinkedPolicy,
+    Mt,
+    inject_ceskt,
+    run_trace,
+    step_ceskt,
+    trace_from,
+)
 from aam.store import Addr
 
 FUEL = 1000
@@ -40,6 +52,20 @@ def linked_traces():
             yield f"lk-{v}", trace_from(lambda s: step_lk(s, v), inject_lk(e), fuel)
     for e in security_corpus():
         yield "cm", trace_from(lambda s: step_cm(s, UNIVERSE), inject_cm(e, UNIVERSE), FUEL)
+
+
+def linked_time_keyed_traces():
+    policy = LinkedPolicy(TIME_KEYED_POLICY)
+    for e, fuel in core_runs():
+        yield "ceskt", trace_from(lambda s: step_ceskt(s, policy), inject_ceskt(e, policy), fuel)
+        for v in VARIANTS:
+            yield f"lk*-{v}", trace_from(
+                lambda s: step_lk_star(s, policy, v), inject_lk_star(e, policy), fuel
+            )
+    for e in security_corpus():
+        yield "cm*", trace_from(
+            lambda s: step_cm_star(s, UNIVERSE, policy), inject_cm_star(e, UNIVERSE, policy), FUEL
+        )
 
 
 def stored_traces():
@@ -65,9 +91,17 @@ def linked_chain_problem(kont) -> str | None:
     return None
 
 
-@pytest.mark.parametrize("linked", [True, False], ids=["linked", "stored"])
-def test_frames_live_where_the_machine_says(linked):
-    runs = linked_traces() if linked else stored_traces()
+RUNS = {
+    "linked": linked_traces,
+    "stored": stored_traces,
+    "linked-time-keyed": linked_time_keyed_traces,
+}
+
+
+@pytest.mark.parametrize("kind", list(RUNS))
+def test_frames_live_where_the_machine_says(kind):
+    linked = kind != "stored"
+    runs = RUNS[kind]()
     machines = set()
     for machine, trace in runs:
         machines.add(machine)
