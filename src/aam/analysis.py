@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 from .machines import (
     CESKtState,
+    CORE,
     KCFAPolicy,
-    MT,
     _core_rules,
     is_final_abstract,
 )
@@ -48,7 +48,6 @@ from .store import (
     BindA,
     Contour,
     EMPTY_ASTORE,
-    EMPTY_MAP,
     Env,
     FrozenMap,
     KontA,
@@ -61,7 +60,7 @@ from .store import (
     astore_leq,
     sort_key,  # no caller here; bench/test_bench.py checks the tracer rebinds it
 )
-from .syntax import CORE_FORMS, Exp, _field_names, check_closed, check_features
+from .syntax import Exp, _field_names
 
 # Abstract states have the concrete time-stamped machine's fields; only the
 # store they carry is read differently.
@@ -69,9 +68,7 @@ AbstractState = CESKtState
 
 
 def inject_abstract(e: Exp, policy: KCFAPolicy) -> CESKtState:
-    check_closed(e)
-    check_features(e, CORE_FORMS, "core")
-    return CESKtState(e, EMPTY_MAP, EMPTY_ASTORE, MT, policy.t0)
+    return CORE.inject(e, None, policy.t0)
 
 
 def step_abstract(s: CESKtState, policy: KCFAPolicy) -> list[CESKtState]:

@@ -6,8 +6,9 @@ the trace or state graph as text, JSON, or a directed-graph description.
     aam <machine> [--k N] [--widen] [--gc] [--fuel N]
         [--format text|json|dot] [--annotate p,q,...] FILE
 
-Machines: cek cesk ceskstar ceskt lk lk-opt lk-postponed ext cm (concrete)
-and kcfa 0cfa alk acm aext pushdown (abstract).
+Each machine is a row of ``MACHINE_TABLE``: a language record, the reading
+of its rules (concrete, with linked or stored frames, or abstract), and
+the language's argument.
 
 Exit codes: 0 on success (including fuel exhaustion and security failure),
 1 on parse errors, 2 on configuration errors (bad flag combinations,
@@ -19,11 +20,11 @@ All emitted formats are byte-deterministic for a fixed configuration and
 input: states appear in first-discovery order (the contexts of a widened
 run in ``repr`` order) and every set is rendered sorted.
 
-A runner only picks a machine (``_concrete_parts``, ``_abstract_parts``)
-and a search (``trace_from``, ``explore_states``, ``widened_fixpoint``,
-the pushdown solver); ``_model`` assembles every run's output from the
-search's states, edges and finals.  A widened run prints the edges the
-fixpoint's last round found and steps no context again.
+A runner only reads its row (``_parts``) and picks a search
+(``trace_from``, ``explore_states``, ``widened_fixpoint``, the pushdown
+solver); ``_model`` assembles every run's output from the search's states,
+edges and finals.  A widened run prints the edges the fixpoint's last
+round found and steps no context again.
 
 Only JSON prints each state's environment and store.  A run's rows keep
 them unrendered and ``emit_json`` renders them, so text and dot output,
@@ -43,50 +44,52 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .analysis import (
-    KCFAPolicy,
-    explore_states,
-    inject_abstract,
-    is_final_abstract,
-    step_abstract,
-    strip_store,
-    widened_fixpoint,
-)
-from .extended import inject_aext, inject_extended, is_final_ext, step_extended, step_extended_abstract
+from .analysis import KCFAPolicy, explore_states, strip_store, widened_fixpoint
+from .extended import EXTENDED
 from .gc import collect, collecting_step, collecting_successors
-from .inspection import (
-    annotate,
-    inject_acm,
-    inject_cm,
-    is_final_acm,
-    step_cm,
-    step_cm_abstract,
+from .inspection import SECURITY, annotate
+from .lazy import LAZY, Computed
+from .machines import (
+    Ar, CORE, Closure, FRESH_POLICY, Fn, LINKED_POLICY, inject_cek, step_cek, trace_from,
 )
-from .lazy import inject_alk, inject_lk, is_final_alk, step_lk, step_lk_star_abstract
-from .machines import Ar, Closure, FRESH_POLICY, Fn, MACHINES, trace_from
 from .pushdown import reachable_pushdown, reachable_pushdown_widened
-from .store import Addr, InvariantError, sort_key
+from .store import ABSTRACT_STORE, Addr, InvariantError, sort_key
 from .syntax import (
-    CORE_FORMS,
-    Exp,
-    FeatureError,
-    Lam,
-    ParseError,
-    _ident_error,
-    check_closed,
-    check_features,
-    parse_program,
-    permissions_used,
-    unparse,
+    Exp, FeatureError, Lam, ParseError, _ident_error, parse_program, permissions_used, unparse,
 )
 
-CONCRETE = ("cek", "cesk", "ceskstar", "ceskt", "lk", "lk-opt", "lk-postponed", "ext", "cm")
-ABSTRACT = ("kcfa", "0cfa", "alk", "acm", "aext", "pushdown")
-ALL_MACHINES = CONCRETE + ABSTRACT
-CONTOURED = ("kcfa", "alk", "acm", "aext")
-NO_GC = ("cek", "pushdown")
-ANNOTATABLE = ("cm", "acm")
-LK_VARIANT = {"lk": "standard", "lk-opt": "opt", "lk-postponed": "postponed"}
+# One row per command-line name: (language, reading, language argument).
+# The concrete readings fire a language's rules over exact stores with
+# linked frames, with stored frames, or with stored frames and a clock;
+# ``abstract`` fires them over abstract stores under ``KCFAPolicy(k)``, and
+# ``mono`` does so at k = 0 and prints no environments or times.  ``cek``
+# and ``pushdown`` are machines of their own over the core language.  A
+# security row's argument is the permission universe of the program run.
+MACHINE_TABLE = {
+    "cek": (CORE, "cek", None),
+    "cesk": (CORE, "linked", None),
+    "ceskstar": (CORE, "stored", None),
+    "ceskt": (CORE, "timed", None),
+    "lk": (LAZY, "linked", "standard"),
+    "lk-opt": (LAZY, "linked", "opt"),
+    "lk-postponed": (LAZY, "linked", "postponed"),
+    "ext": (EXTENDED, "timed", None),
+    "cm": (SECURITY, "linked", None),
+    "kcfa": (CORE, "abstract", None),
+    "0cfa": (CORE, "mono", None),
+    "alk": (LAZY, "abstract", "standard"),
+    "acm": (SECURITY, "abstract", None),
+    "aext": (EXTENDED, "abstract", None),
+    "pushdown": (CORE, "pushdown", None),
+}
+# The flags each reading accepts.  The concrete readings are those with a
+# step budget; ``--annotate`` goes with the security language instead.
+ACCEPTS = {
+    "cek": ("fuel",), "linked": ("fuel", "gc"), "stored": ("fuel", "gc"), "timed": ("fuel", "gc"),
+    "abstract": ("k", "widen", "gc"), "mono": ("widen", "gc"), "pushdown": ("widen",),
+}
+CONTOURED = tuple(m for m, (_, reading, _) in MACHINE_TABLE.items() if "k" in ACCEPTS[reading])
+ANNOTATABLE = tuple(m for m, (lang, _, _) in MACHINE_TABLE.items() if lang is SECURITY)
 
 
 class ConfigError(Exception):
@@ -220,9 +223,9 @@ def _render_store(store, abstract: bool, show, memo) -> str:
 
 
 def _mono_repr(v) -> str:
-    """How ``0cfa`` prints a storable or frame.  At k = 0 an environment is
-    a function of the syntax it closes, so it is left out: a closure prints
-    as its lambda, and ``Ar``/``Fn`` frames as ``Ar0``/``Fn0``."""
+    """How the ``mono`` reading prints a storable or frame.  At k = 0 an
+    environment is a function of the syntax it closes, so it is left out: a
+    closure prints as its lambda, and ``Ar``/``Fn`` frames as ``Ar0``/``Fn0``."""
     if isinstance(v, Closure):
         return repr(v.lam)
     if isinstance(v, Ar):
@@ -247,8 +250,8 @@ def _row(i, ctrl, env, store, kont, time, final, abstract, show=repr) -> Row:
 
 
 def _state_row(i, state, final, abstract, mono=False) -> Row:
-    """``mono`` prints a k = 0 core state the way ``0cfa`` shows it: no
-    environment, no time, and storables and frames through ``_mono_repr``."""
+    """``mono`` prints a k = 0 core state with no environment and no time,
+    and its storables and frames through ``_mono_repr``."""
     return _row(
         i,
         state.ctrl,
@@ -282,8 +285,6 @@ def _model(args, states, row, *, edges, initial, finals, value_flow, headline, e
 
 
 def _value_lambda(w):
-    from .lazy import Computed
-
     if isinstance(w, Closure):
         return w.lam
     if isinstance(w, Lam):
@@ -334,63 +335,57 @@ def env_scan_flow(states) -> dict:
 
 
 def _validate_flags(args) -> None:
-    machine = args.machine
+    lang, reading, _arg = MACHINE_TABLE[args.machine]
+    accepts = ACCEPTS[reading]
     if args.k is not None:
-        if machine not in CONTOURED:
+        if "k" not in accepts:
             raise ConfigError(f"--k applies only to {', '.join(CONTOURED)}")
         if args.k < 0:
             raise ConfigError("--k must be non-negative")
-    if args.widen and machine not in ABSTRACT:
+    if args.widen and "widen" not in accepts:
         raise ConfigError("--widen applies only to abstract machines")
     if args.gc:
-        if machine in NO_GC:
-            raise ConfigError(f"--gc does not apply to {machine}")
+        if "gc" not in accepts:
+            raise ConfigError(f"--gc does not apply to {args.machine}")
         if args.widen:
             raise ConfigError("--gc cannot be combined with --widen")
     if args.fuel is not None:
-        if machine in ABSTRACT:
+        if "fuel" not in accepts:
             raise ConfigError("--fuel applies only to concrete machines")
         if args.fuel < 0:
             raise ConfigError("--fuel must be non-negative")
-    if args.annotate is not None and machine not in ANNOTATABLE:
+    if args.annotate is not None and lang is not SECURITY:
         raise ConfigError(f"--annotate applies only to {', '.join(ANNOTATABLE)}")
 
 
-def _prepare_security(args, program):
+def _parts(args, program):
+    """The row's initial state and its step (concrete) or successor
+    (abstract) function.  A security row runs the program under
+    ``--annotate``, with its permission universe as the argument."""
+    lang, reading, arg = MACHINE_TABLE[args.machine]
     e = program.exp
-    granted = frozenset()
-    if args.annotate is not None:
-        granted = frozenset(p for p in args.annotate.split(",") if p)
+    if lang is SECURITY:
+        granted = frozenset(p for p in (args.annotate or "").split(",") if p)
         for p in sorted(granted):
             error = _ident_error(p, "a permission")
             if error is not None:
                 raise ConfigError(f"--annotate: {error}")
-        e = annotate(e, granted)
-    universe = program.permissions or (permissions_used(e) | granted)
-    return e, universe
-
-
-def _concrete_parts(args, program):
-    """Initial state and step function per machine."""
-    machine = args.machine
-    e = program.exp
-    if machine in MACHINES:
-        check_closed(e)
-        check_features(e, CORE_FORMS, "core")
-        inject, rawstep = MACHINES[machine]
-        initial = inject(e, FRESH_POLICY) if machine == "ceskt" else inject(e)
-        return initial, lambda s: rawstep(s, FRESH_POLICY)
-    if machine in LK_VARIANT:
-        variant = LK_VARIANT[machine]
-        return inject_lk(e), lambda s: step_lk(s, variant)
-    if machine == "ext":
-        return inject_extended(e), step_extended
-    e, universe = _prepare_security(args, program)
-    return inject_cm(e, universe), lambda s: step_cm(s, universe)
+        if args.annotate is not None:
+            e = annotate(e, granted)
+        arg = program.permissions or (permissions_used(e) | granted)
+    if reading == "cek":
+        lang.check(e)
+        return inject_cek(e), step_cek
+    if reading in ("abstract", "mono"):
+        policy = KCFAPolicy(args.k or 0)
+        return lang.inject(e, arg, policy.t0), lambda s: lang.rules(s, ABSTRACT_STORE, policy, arg)
+    policy = LINKED_POLICY if reading == "linked" else FRESH_POLICY
+    initial = lang.inject(e, arg, policy.t0 if reading == "timed" else None)
+    return initial, lambda s: lang.step(s, policy, arg)
 
 
 def _run_concrete(args, program) -> tuple[Model, int]:
-    initial, step = _concrete_parts(args, program)
+    initial, step = _parts(args, program)
     if args.gc:
         initial = collect(initial)
         step = collecting_step(step)
@@ -418,25 +413,6 @@ def _run_concrete(args, program) -> tuple[Model, int]:
     return model, 3 if trace.outcome == "stuck" else 0
 
 
-def _abstract_parts(args, program):
-    """Initial state, successor function, and finality test per machine."""
-    machine = args.machine
-    e = program.exp
-    policy = KCFAPolicy(args.k or 0)
-    if machine in ("kcfa", "0cfa"):
-        return inject_abstract(e, policy), (lambda s: step_abstract(s, policy)), is_final_abstract
-    if machine == "alk":
-        return inject_alk(e, policy), (lambda s: step_lk_star_abstract(s, policy)), is_final_alk
-    if machine == "aext":
-        return inject_aext(e, policy), (lambda s: step_extended_abstract(s, policy)), is_final_ext
-    e, universe = _prepare_security(args, program)
-    return (
-        inject_acm(e, universe, policy),
-        lambda s: step_cm_abstract(s, universe, policy),
-        is_final_acm,
-    )
-
-
 def _pushdown_model(args, program) -> Model:
     if args.widen:
         widened = reachable_pushdown_widened(program.exp)
@@ -462,16 +438,17 @@ def _pushdown_model(args, program) -> Model:
 
 
 def _run_abstract(args, program) -> Model:
-    if args.machine == "pushdown":
+    lang, reading, _arg = MACHINE_TABLE[args.machine]
+    if reading == "pushdown":
         return _pushdown_model(args, program)
-    initial, successors, is_final = _abstract_parts(args, program)
-    mono = args.machine == "0cfa"
+    initial, successors = _parts(args, program)
+    mono = reading == "mono"
     if args.widen:
         system = widened_fixpoint(initial, successors)
         store = system.store
         states = sorted(system.contexts, key=sort_key)
         index = {s: i for i, s in enumerate(states)}
-        finals = [i for i, s in enumerate(states) if is_final(s)]
+        finals = [i for i, s in enumerate(states) if lang.final(s)]
         return _model(
             args,
             states,
@@ -486,7 +463,7 @@ def _run_abstract(args, program) -> Model:
     if args.gc:
         initial = collect(initial, abstract=True)
         successors = collecting_successors(successors)
-    graph = explore_states(initial, successors, is_final)
+    graph = explore_states(initial, successors, lang.final)
     return _model(
         args,
         graph.states,
@@ -502,7 +479,7 @@ def _run_abstract(args, program) -> Model:
 
 def _dispatch(args, program) -> tuple[Model, int]:
     _validate_flags(args)
-    if args.machine in CONCRETE:
+    if "fuel" in ACCEPTS[MACHINE_TABLE[args.machine][1]]:
         return _run_concrete(args, program)
     return _run_abstract(args, program), 0
 
@@ -602,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="aam",
         description="Run abstract machines and the analyses derived from them.",
     )
-    p.add_argument("machine", choices=ALL_MACHINES, metavar="machine")
+    p.add_argument("machine", choices=MACHINE_TABLE, metavar="machine")
     p.add_argument("file", help="program file")
     p.add_argument("--k", type=int, default=None, metavar="N", help="contour depth")
     p.add_argument("--widen", action="store_true", help="single global store")

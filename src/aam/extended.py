@@ -22,8 +22,8 @@ Rule highlights:
 * a value returning to ``Mt`` under an installed handler pops the handler;
   returning under ``MtH`` is final.
 
-The rules are written once, in ``_ext_rules``, against a store semantics:
-``step_extended`` fires them over exact stores, ``step_extended_abstract``
+The rules are written once, in ``_ext_rules`` (held by ``EXTENDED``):
+``step_extended`` reads them over exact stores, ``step_extended_abstract``
 over abstract ones.
 """
 
@@ -38,11 +38,11 @@ from .machines import (
     FRESH_POLICY,
     Final,
     Kont,
+    Language,
     MT,
     Mt,
     StepOutcome,
     Value,
-    _concrete_step,
 )
 from .store import (
     ABSTRACT_STORE,
@@ -66,8 +66,6 @@ from .syntax import (
     Ref,
     SetBang,
     Throw,
-    check_closed,
-    check_features,
 )
 
 
@@ -196,9 +194,7 @@ class ExtState:
 
 
 def inject_extended(e: Exp, policy=FRESH_POLICY) -> ExtState:
-    check_closed(e)
-    check_features(e, EXTENDED_FORMS, "extended")
-    return ExtState(e, EMPTY_MAP, EMPTY_MAP, MTH, MT, policy.t0)
+    return EXTENDED.inject(e, None, policy.t0)
 
 
 # The empty abstract store is the empty map.
@@ -358,10 +354,17 @@ def _ext_rules(s: ExtState, sem, policy, _=None) -> list:
     return succs
 
 
+def _halt(s: ExtState) -> Final | None:
+    return Final(control_value(s.ctrl, s.env)) if is_final_ext(s) else None
+
+
+EXTENDED = Language("extended", EXTENDED_FORMS,
+                    lambda e, arg, time: ExtState(e, EMPTY_MAP, EMPTY_MAP, MTH, MT, time),
+                    _ext_rules, _halt, is_final_ext)
+
+
 def step_extended(s: ExtState, policy=FRESH_POLICY) -> StepOutcome:
-    if is_final_ext(s):
-        return Final(control_value(s.ctrl, s.env))
-    return _concrete_step(_ext_rules, s, policy)
+    return EXTENDED.step(s, policy)
 
 
 def step_extended_abstract(s: ExtState, policy) -> list[ExtState]:

@@ -14,10 +14,10 @@ R, drops granted permissions, and succeeds at the empty continuation (or
 once nothing is left to justify).  Pushed frames start with empty marks;
 refocusing an argument frame into a call frame preserves its marks.
 
-The rules are written once, in ``_cm_rules``, against a store semantics
-and an allocation policy.  ``step_cm`` fires them with
+The rules are written once, in ``_cm_rules`` (held by ``SECURITY``, whose
+argument is the permission universe).  ``step_cm`` reads them with
 ``machines.LINKED_POLICY`` on untimed states, so every frame links to the
-frame below it; ``step_cm_star`` fires them with a store-allocating policy
+frame below it; ``step_cm_star`` with a store-allocating policy
 and ``step_cm_abstract`` over abstract stores.  Their inspection predicate
 is one search over the store-resolved continuation paths: a test takes its
 true branch if some path satisfies OK and its false branch if some path
@@ -46,8 +46,8 @@ from .machines import (
     Final,
     Kont,
     LINKED_POLICY,
+    Language,
     StepOutcome,
-    _concrete_step,
 )
 from .store import (
     ABSTRACT_STORE,
@@ -67,7 +67,6 @@ from .syntax import (
     Ref,
     SECURITY_FORMS,
     Test,
-    check_closed,
     check_features,
     permissions_used,
     relabel,
@@ -128,22 +127,12 @@ def mark(kont: Kont, perms: frozenset[str], value: str) -> Kont:
 CMState = CMStarState = CESKtState
 
 
-def _validate(e: Exp, universe: frozenset[str]) -> None:
-    check_closed(e)
-    check_features(e, SECURITY_FORMS, "security")
-    extra = permissions_used(e) - universe
-    if extra:
-        raise ValueError(f"permissions {sorted(extra)} are outside the declared universe")
-
-
 def inject_cm(e: Exp, universe: frozenset[str]) -> CMStarState:
-    _validate(e, universe)
-    return CMStarState(e, EMPTY_MAP, EMPTY_MAP, MTM)
+    return SECURITY.inject(e, universe)
 
 
 def inject_cm_star(e: Exp, universe: frozenset[str], policy=FRESH_POLICY) -> CMStarState:
-    _validate(e, universe)
-    return CMStarState(e, EMPTY_MAP, EMPTY_MAP, MTM, policy.t0)
+    return SECURITY.inject(e, universe, policy.t0)
 
 
 # The empty abstract store is the empty map.
@@ -327,12 +316,22 @@ def _halt(s: CMStarState) -> Final | FailFinal | None:
     return None
 
 
+def _start(e: Exp, universe: frozenset[str], time) -> CMStarState:
+    extra = permissions_used(e) - universe
+    if extra:
+        raise ValueError(f"permissions {sorted(extra)} are outside the declared universe")
+    return CMStarState(e, EMPTY_MAP, EMPTY_MAP, MTM, time)
+
+
+SECURITY = Language("security", SECURITY_FORMS, _start, _cm_rules, _halt, is_final_acm)
+
+
 def step_cm(s: CMStarState, universe: frozenset[str]) -> StepOutcome:
-    return _halt(s) or _concrete_step(_cm_rules, s, LINKED_POLICY, universe)
+    return SECURITY.step(s, LINKED_POLICY, universe)
 
 
 def step_cm_star(s: CMStarState, universe: frozenset[str], policy=FRESH_POLICY) -> StepOutcome:
-    return _halt(s) or _concrete_step(_cm_rules, s, policy, universe)
+    return SECURITY.step(s, policy, universe)
 
 
 def step_cm_abstract(s: CMStarState, universe: frozenset[str], policy) -> list[CMStarState]:

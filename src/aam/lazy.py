@@ -20,12 +20,12 @@ Three concrete variants share the value rules and differ at application:
               lambda operand is stored already Computed
 * postponed   the operand rides the frame and is allocated at binding time
 
-The rules are written once, in ``_lk_rules``, against a store semantics
-and an allocation policy.  ``step_lk`` fires them with
+The rules are written once, in ``_lk_rules`` (held by ``LAZY``, whose
+argument is the variant).  ``step_lk`` reads them with
 ``machines.LINKED_POLICY`` on untimed states, so every frame links to the
-frame below it; ``step_lk_star`` fires them with a store-allocating policy,
-so every frame's tail is an address; ``step_lk_star_abstract`` fires them
-over abstract stores (joins and fan-outs).
+frame below it; ``step_lk_star`` with a store-allocating policy, so every
+frame's tail is an address; ``step_lk_star_abstract`` over abstract
+stores (joins and fan-outs).
 """
 
 from __future__ import annotations
@@ -36,27 +36,24 @@ from typing import Union
 from .analysis import alpha_fields
 from .machines import (
     CESKtState,
-    Closure,
+    CORE,
     FRESH_POLICY,
-    Final,
     Kont,
     LINKED_POLICY,
-    MT,
+    Language,
     StepOutcome,
-    _concrete_step,
     is_final_abstract,
 )
 from .store import (
     ABSTRACT_STORE,
     Addr,
-    EMPTY_MAP,
     Env,
     InvariantError,
     TAG_KONT,
     TAG_THUNK,
     cached_repr,
 )
-from .syntax import App, CORE_FORMS, Exp, Lam, Ref, check_closed, check_features
+from .syntax import App, CORE_FORMS, Exp, Lam, Ref
 
 VARIANTS = ("standard", "opt", "postponed")
 
@@ -116,15 +113,11 @@ LKState = LKStarState = CESKtState
 
 
 def inject_lk(e: Exp) -> LKStarState:
-    check_closed(e)
-    check_features(e, CORE_FORMS, "lazy")
-    return LKStarState(e, EMPTY_MAP, EMPTY_MAP, MT)
+    return LAZY.inject(e)
 
 
 def inject_lk_star(e: Exp, policy=FRESH_POLICY) -> LKStarState:
-    check_closed(e)
-    check_features(e, CORE_FORMS, "lazy")
-    return LKStarState(e, EMPTY_MAP, EMPTY_MAP, MT, policy.t0)
+    return LAZY.inject(e, None, policy.t0)
 
 
 # The empty abstract store is the empty map.
@@ -200,16 +193,16 @@ def _lk_rules(s: LKStarState, sem, policy, variant: str) -> list:
     return sem.stuck("no rule for control {!r}", c)
 
 
+# By-need runs start, halt and end where core runs do.
+LAZY = Language("lazy", CORE_FORMS, CORE.start, _lk_rules, CORE.halt, is_final_abstract)
+
+
 def step_lk(s: LKStarState, variant: str = "standard") -> StepOutcome:
-    if is_final_abstract(s):
-        return Final(Closure(s.ctrl, s.env))
-    return _concrete_step(_lk_rules, s, LINKED_POLICY, variant)
+    return LAZY.step(s, LINKED_POLICY, variant)
 
 
 def step_lk_star(s: LKStarState, policy=FRESH_POLICY, variant: str = "standard") -> StepOutcome:
-    if is_final_abstract(s):
-        return Final(Closure(s.ctrl, s.env))
-    return _concrete_step(_lk_rules, s, policy, variant)
+    return LAZY.step(s, policy, variant)
 
 
 def step_lk_star_abstract(s: LKStarState, policy, variant: str = "standard") -> list[LKStarState]:

@@ -30,13 +30,13 @@ concrete store semantics checks both and raises ``InvariantError``.
                          frames link to frames; ``LINKED_POLICY`` links
                          ``FRESH_POLICY``
 
-The rules of CESK, CESK* and CESK*t are written once, in ``_core_rules``,
-against a store semantics from ``store``.  The three machines differ only
-in their policy and in whether their states carry a time: ``step_cesk``
-fires the rules with ``LINKED_POLICY`` on untimed states, ``step_cesk_star``
-with ``FRESH_POLICY`` on untimed states, ``step_ceskt`` with any concrete
-policy on timed ones, and ``analysis.step_abstract`` over abstract stores.
-``_concrete_step`` is the shared concrete reading of any language's rules.
+The rules of CESK, CESK* and CESK*t are written once, in ``_core_rules``
+(held by the ``Language`` record ``CORE``), against a store semantics
+from ``store``.  The machines differ only in their policy and in whether
+their states carry a time: ``step_cesk`` reads them with ``LINKED_POLICY``
+on untimed states, ``step_cesk_star`` with ``FRESH_POLICY`` on untimed
+states, ``step_ceskt`` with any concrete policy on timed ones, and
+``analysis.step_abstract`` over abstract stores.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .store import (
     cached_repr,
     fresh_addr,
 )
-from .syntax import App, Exp, Lam, Ref
+from .syntax import App, CORE_FORMS, Exp, Lam, Ref, check_closed, check_features
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +291,14 @@ def inject_cek(e: Exp) -> CEKState:
 
 
 def inject_cesk(e: Exp) -> CESKtState:
-    return CESKtState(e, EMPTY_MAP, EMPTY_MAP, MT)
+    return CORE.start(e, None, None)
 
 
 inject_cesk_star = inject_cesk
 
 
 def inject_ceskt(e: Exp, policy=FRESH_POLICY) -> CESKtState:
-    return CESKtState(e, EMPTY_MAP, EMPTY_MAP, MT, policy.t0)
+    return CORE.start(e, None, policy.t0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +329,13 @@ def step_cek(s: CEKState) -> StepOutcome:
 def is_final_abstract(s: CESKtState) -> bool:
     """A value facing the empty continuation: final in either reading."""
     return isinstance(s.ctrl, Lam) and isinstance(s.kont, Mt)
+
+
+def _core_halt(s: CESKtState) -> Final | None:
+    # The test of ``is_final_abstract`` written out: this runs on every step.
+    if isinstance(s.ctrl, Lam) and isinstance(s.kont, Mt):
+        return Final(Closure(s.ctrl, s.env))
+    return None
 
 
 def _core_rules(s: CESKtState, sem, policy, _=None) -> list:
@@ -365,37 +372,68 @@ def _core_rules(s: CESKtState, sem, policy, _=None) -> list:
     return sem.stuck("no rule for control {!r}", c)
 
 
-def _concrete_step(rules, s, policy, arg=None) -> StepOutcome:
-    """Fire a language's rules over exact stores: one successor, or the
-    reason the machine is stuck.  Callers decide finality first.
+# ---------------------------------------------------------------------------
+# Languages
+# ---------------------------------------------------------------------------
 
-    Every language's rules take the state, a store semantics, a policy and
-    one language parameter (the by-need variant, the permission universe)
-    that the core and extended languages ignore; a fixed arity keeps the
-    call off Python's slow argument-unpacking path."""
-    try:
-        (succ,) = rules(s, CONCRETE_STORE, policy, arg)
-    except MachineStuck as ex:
-        return Stuck(ex.reason)
-    return Next(succ)
+
+@dataclass(frozen=True)
+class Language:
+    """One language's rules, and how a run of them starts and ends.  A
+    machine is a language read under a policy and a store semantics.
+
+    ``start(e, arg, time)`` builds the initial state (untimed when ``time``
+    is None).  ``rules(s, sem, policy, arg)`` fire over store semantics
+    ``sem``; ``arg`` is the one language parameter (the by-need variant,
+    the permission universe), passed by position even where it is ignored,
+    which keeps the call off Python's slow argument-unpacking path.
+    ``halt(s)`` is how a concrete run ends at ``s`` (None when it steps
+    on), and ``final(s)`` whether ``s`` is final in an abstract graph."""
+
+    name: str
+    forms: frozenset
+    start: Callable
+    rules: Callable
+    halt: Callable
+    final: Callable
+
+    def check(self, e: Exp) -> None:
+        """Reject an open program, or one with a form outside the language."""
+        check_closed(e)
+        check_features(e, self.forms, self.name)
+
+    def inject(self, e: Exp, arg=None, time=None):
+        """The initial state of a checked program."""
+        self.check(e)
+        return self.start(e, arg, time)
+
+    def step(self, s, policy, arg=None) -> StepOutcome:
+        """The concrete reading: halt, or the one successor over exact stores."""
+        halted = self.halt(s)
+        if halted is not None:
+            return halted
+        try:
+            (succ,) = self.rules(s, CONCRETE_STORE, policy, arg)
+        except MachineStuck as ex:
+            return Stuck(ex.reason)
+        return Next(succ)
+
+
+CORE = Language("core", CORE_FORMS,
+                lambda e, arg, time: CESKtState(e, EMPTY_MAP, EMPTY_MAP, MT, time),
+                _core_rules, _core_halt, is_final_abstract)
 
 
 def step_cesk(s: CESKtState) -> StepOutcome:
-    if is_final_abstract(s):
-        return Final(Closure(s.ctrl, s.env))
-    return _concrete_step(_core_rules, s, LINKED_POLICY)
+    return CORE.step(s, LINKED_POLICY)
 
 
 def step_cesk_star(s: CESKtState) -> StepOutcome:
-    if is_final_abstract(s):
-        return Final(Closure(s.ctrl, s.env))
-    return _concrete_step(_core_rules, s, FRESH_POLICY)
+    return CORE.step(s, FRESH_POLICY)
 
 
 def step_ceskt(s: CESKtState, policy=FRESH_POLICY) -> StepOutcome:
-    if is_final_abstract(s):
-        return Final(Closure(s.ctrl, s.env))
-    return _concrete_step(_core_rules, s, policy)
+    return CORE.step(s, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,13 @@ from typing import Optional, Union
 from .machines import (
     Ar,
     CESKtState,
+    CORE,
     Closure,
     FRESH_POLICY,
     LinkedPolicy,
     Mt,
     StepOutcome,
     Trace,
-    inject_ceskt,
     step_ceskt,
     trace_from,
 )
@@ -60,7 +60,7 @@ from .store import (
     astore_join,
     sort_key,
 )
-from .syntax import App, CORE_FORMS, Exp, Lam, Ref, check_closed, check_features
+from .syntax import App, Exp, Lam, Ref
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,7 @@ class PdNode:
 
 
 def inject_pushdown(e: Exp) -> PdNode:
-    check_closed(e)
-    check_features(e, CORE_FORMS, "core")
+    CORE.check(e)
     return PdNode(PdControl(e, EMPTY_MAP, EMPTY_ASTORE), None)
 
 
@@ -346,9 +345,7 @@ class PdTraceState:
 
 
 def inject_pd_trace(e: Exp, policy=FRESH_POLICY) -> CESKtState:
-    check_closed(e)
-    check_features(e, CORE_FORMS, "core")
-    return inject_ceskt(e, policy)
+    return CORE.inject(e, None, policy.t0)
 
 
 def step_pd_trace(s: CESKtState, policy=FRESH_POLICY) -> StepOutcome:

@@ -3,6 +3,8 @@ byte-deterministic output in all three formats."""
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import io
 import json
 import os
@@ -10,7 +12,9 @@ import re
 import signal
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import tomllib
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,22 @@ ID_ID = "((lambda (x) x) (lambda (y) y))"
 OMEGA = "((lambda (w) (w w)) (lambda (w) (w w)))"
 PRECISION = "((lambda (f) ((f (lambda (a) a)) (f (lambda (b) b)))) (lambda (x) x))"
 TEST_NO_FRAME = "(test (p) (lambda (a) a) (lambda (b) b))"
+IF_FALSE = "(if #f (lambda (a) a) (lambda (b) b))"
+
+# The configuration errors the command line reports, each the exact text
+# after ``config error: ``.
+K_ONLY = "--k applies only to kcfa, alk, acm, aext"
+K_NEGATIVE = "--k must be non-negative"
+WIDEN_ONLY = "--widen applies only to abstract machines"
+GC_WIDEN = "--gc cannot be combined with --widen"
+FUEL_ONLY = "--fuel applies only to concrete machines"
+FUEL_NEGATIVE = "--fuel must be non-negative"
+ANNOTATE_ONLY = "--annotate applies only to cm, acm"
+OPEN_Y = "program is open: free variables ['y']"
+
+
+def foreign(program, language):
+    return f"form {program!r} (node 0) is not part of the {language} machine's language"
 
 
 def run_cli(tmp_path, program, *args, hashseed="0"):
@@ -161,25 +181,27 @@ class TestExitCodes:
         p.stderr.close()
         assert "Traceback" not in stderr, stderr
 
-    @pytest.mark.parametrize(
-        "program,args",
-        [
-            (ID_ID, ("cek", "--k", "1")),
-            (ID_ID, ("kcfa", "--k", "-1")),
-            (ID_ID, ("cek", "--gc")),
-            (ID_ID, ("pushdown", "--gc")),
-            (ID_ID, ("kcfa", "--gc", "--widen")),
-            (ID_ID, ("cek", "--widen")),
-            (ID_ID, ("kcfa", "--fuel", "9")),
-            (ID_ID, ("cek", "--annotate", "p")),
-            ("(lambda (x) y)", ("cek",)),
-            ("(if #f (lambda (a) a) (lambda (b) b))", ("cek",)),
-            (TEST_NO_FRAME, ("ext",)),
-        ],
-    )
+    # (program, arguments, the error it prints)
+    CONFIGURATION_ERRORS = [
+        (ID_ID, ("cek", "--k", "1"), K_ONLY),
+        (ID_ID, ("kcfa", "--k", "-1"), K_NEGATIVE),
+        (ID_ID, ("cek", "--gc"), "--gc does not apply to cek"),
+        (ID_ID, ("pushdown", "--gc"), "--gc does not apply to pushdown"),
+        (ID_ID, ("kcfa", "--gc", "--widen"), GC_WIDEN),
+        (ID_ID, ("cek", "--widen"), WIDEN_ONLY),
+        (ID_ID, ("kcfa", "--fuel", "9"), FUEL_ONLY),
+        (ID_ID, ("cek", "--annotate", "p"), ANNOTATE_ONLY),
+        ("(lambda (x) y)", ("cek",), OPEN_Y),
+        (IF_FALSE, ("cek",), foreign(IF_FALSE, "core")),
+        (TEST_NO_FRAME, ("ext",), foreign(TEST_NO_FRAME, "extended")),
+    ]
+
+    @pytest.mark.parametrize("program,args", [case[:2] for case in CONFIGURATION_ERRORS])
     def test_configuration_errors(self, tmp_path, program, args):
+        (line,) = [line for p, a, line in self.CONFIGURATION_ERRORS if (p, a) == (program, args)]
         r = run_cli(tmp_path, program, *args)
         assert r.returncode == 2, (args, r.stdout, r.stderr)
+        assert r.stderr == f"config error: {line}\n" and r.stdout == ""
 
     def test_permissions_outside_pragma_universe(self, tmp_path):
         r = run_cli(tmp_path, ";; permissions: (q)\n" + TEST_NO_FRAME, "cm")
@@ -190,6 +212,106 @@ class TestExitCodes:
         r = run_cli(tmp_path, ";; permissions: (p q)\n" + TEST_NO_FRAME, "cm")
         assert r.returncode == 0
         assert "Final: (lambda (a) a)" in r.stdout
+
+
+class TestConfigurationMatrix:
+    """Every machine against every flag it might reject, and every language
+    against an open program and a form outside it: the exact line each
+    rejected run prints, and exit 0 for each accepted one."""
+
+    FLAGS = ("--k 1", "--k -1", "--widen", "--gc", "--gc --widen", "--fuel 9", "--fuel -1",
+             "--annotate p")
+    # machine -> the error for each entry of FLAGS, or None where it runs.
+    ERRORS = {
+        "cek": (K_ONLY, K_ONLY, WIDEN_ONLY, "--gc does not apply to cek", WIDEN_ONLY, None,
+                FUEL_NEGATIVE, ANNOTATE_ONLY),
+        "cesk": (K_ONLY, K_ONLY, WIDEN_ONLY, None, WIDEN_ONLY, None, FUEL_NEGATIVE, ANNOTATE_ONLY),
+        "ceskstar": (K_ONLY, K_ONLY, WIDEN_ONLY, None, WIDEN_ONLY, None, FUEL_NEGATIVE,
+                     ANNOTATE_ONLY),
+        "ceskt": (K_ONLY, K_ONLY, WIDEN_ONLY, None, WIDEN_ONLY, None, FUEL_NEGATIVE, ANNOTATE_ONLY),
+        "lk": (K_ONLY, K_ONLY, WIDEN_ONLY, None, WIDEN_ONLY, None, FUEL_NEGATIVE, ANNOTATE_ONLY),
+        "lk-opt": (K_ONLY, K_ONLY, WIDEN_ONLY, None, WIDEN_ONLY, None, FUEL_NEGATIVE,
+                   ANNOTATE_ONLY),
+        "lk-postponed": (K_ONLY, K_ONLY, WIDEN_ONLY, None, WIDEN_ONLY, None, FUEL_NEGATIVE,
+                         ANNOTATE_ONLY),
+        "ext": (K_ONLY, K_ONLY, WIDEN_ONLY, None, WIDEN_ONLY, None, FUEL_NEGATIVE, ANNOTATE_ONLY),
+        "cm": (K_ONLY, K_ONLY, WIDEN_ONLY, None, WIDEN_ONLY, None, FUEL_NEGATIVE, None),
+        "kcfa": (None, K_NEGATIVE, None, None, GC_WIDEN, FUEL_ONLY, FUEL_ONLY, ANNOTATE_ONLY),
+        "0cfa": (K_ONLY, K_ONLY, None, None, GC_WIDEN, FUEL_ONLY, FUEL_ONLY, ANNOTATE_ONLY),
+        "alk": (None, K_NEGATIVE, None, None, GC_WIDEN, FUEL_ONLY, FUEL_ONLY, ANNOTATE_ONLY),
+        "acm": (None, K_NEGATIVE, None, None, GC_WIDEN, FUEL_ONLY, FUEL_ONLY, None),
+        "aext": (None, K_NEGATIVE, None, None, GC_WIDEN, FUEL_ONLY, FUEL_ONLY, ANNOTATE_ONLY),
+        "pushdown": (K_ONLY, K_ONLY, None, "--gc does not apply to pushdown",
+                     "--gc does not apply to pushdown", FUEL_ONLY, FUEL_ONLY, ANNOTATE_ONLY),
+    }
+    # machine -> (its language's name, a program using a form outside it)
+    LANGUAGES = {
+        **dict.fromkeys(("cek", "cesk", "ceskstar", "ceskt", "kcfa", "0cfa", "pushdown"),
+                        ("core", IF_FALSE)),
+        **dict.fromkeys(("lk", "lk-opt", "lk-postponed", "alk"), ("lazy", IF_FALSE)),
+        **dict.fromkeys(("ext", "aext"), ("extended", TEST_NO_FRAME)),
+        **dict.fromkeys(("cm", "acm"), ("security", IF_FALSE)),
+    }
+
+    @staticmethod
+    def outcome(path, program, argv):
+        """(exit code, stdout, stderr) of one in-process run."""
+        path.write_text(program + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run([*argv, str(path)])
+        return code, out.getvalue(), err.getvalue()
+
+    def test_every_machine_names_every_machine(self):
+        assert set(self.ERRORS) == set(self.LANGUAGES) == set(cli.MACHINE_TABLE)
+
+    @pytest.mark.parametrize("machine", list(ERRORS))
+    def test_flags_each_machine_rejects(self, tmp_path, machine):
+        wrong = []
+        for flags, error in zip(self.FLAGS, self.ERRORS[machine]):
+            code, out, err = self.outcome(tmp_path / "program.scm", ID_ID, [machine, *flags.split()])
+            if error is None:
+                ok = code == 0 and err == ""
+            else:
+                ok = (code, out, err) == (2, "", f"config error: {error}\n")
+            if not ok:
+                wrong.append((flags, code, err))
+        assert wrong == []
+
+    @pytest.mark.parametrize("machine", list(LANGUAGES))
+    def test_programs_outside_each_language(self, tmp_path, machine):
+        language, program = self.LANGUAGES[machine]
+        for text, error in (("(lambda (x) y)", OPEN_Y), (program, foreign(program, language))):
+            got = self.outcome(tmp_path / "program.scm", text, [machine])
+            assert got == (2, "", f"config error: {error}\n"), (text, got)
+
+
+class TestConsoleScript:
+    """The installed ``aam`` command is the ``[project.scripts]`` entry point,
+    which the other tests reach only through ``python -m aam.cli``."""
+
+    def test_entry_point_is_the_command_line(self, capsys):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["aam"]
+        module, _, name = target.partition(":")
+        main = getattr(importlib.import_module(module), name)
+        # ``main`` restores the default SIGPIPE action; keep this process's.
+        previous = signal.getsignal(signal.SIGPIPE) if hasattr(signal, "SIGPIPE") else None
+        try:
+            with pytest.raises(SystemExit) as help_exit:
+                main(["--help"])
+            assert help_exit.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: aam ")
+            # The help names the argument ``machine``; a name that is not a
+            # machine gets the list, in table order.
+            with pytest.raises(SystemExit) as usage_exit:
+                main(["cfk", "program.scm"])
+        finally:
+            if previous is not None:
+                signal.signal(signal.SIGPIPE, previous)
+        assert usage_exit.value.code == 2
+        listed = ", ".join(map(repr, cli.MACHINE_TABLE))
+        assert capsys.readouterr().err.endswith(f"invalid choice: 'cfk' (choose from {listed})\n")
 
 
 class TestAnnotation:
@@ -210,7 +332,7 @@ class TestAnnotation:
 
     @pytest.mark.parametrize("machine", cli.ANNOTATABLE)
     def test_annotate_rejects_forms_outside_the_security_language(self, tmp_path, machine):
-        r = run_cli(tmp_path, "(if #f (lambda (a) a) (lambda (b) b))", machine, "--annotate", "p")
+        r = run_cli(tmp_path, IF_FALSE, machine, "--annotate", "p")
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("config error: form '(if #f ")
         assert "not part of the security machine's language" in r.stderr
@@ -288,17 +410,21 @@ class TestWidenedEdges:
         path.write_text(PRECISION + "\n")
         calls = []
         at_return = []
+        # Every successor of the run fires its row's rules, so counting the
+        # rules also counts any step the command line takes itself.
+        language, reading, arg = cli.MACHINE_TABLE["kcfa"]
 
-        def counted_step(s, policy, _step=cli.step_abstract):
+        def counted_rules(s, *rest, _rules=language.rules):
             calls.append(s)
-            return _step(s, policy)
+            return _rules(s, *rest)
 
         def fixpoint(*args, _fixpoint=cli.widened_fixpoint):
             system = _fixpoint(*args)
             at_return.append(len(calls))
             return system
 
-        monkeypatch.setattr(cli, "step_abstract", counted_step)
+        counted = dataclasses.replace(language, rules=counted_rules)
+        monkeypatch.setitem(cli.MACHINE_TABLE, "kcfa", (counted, reading, arg))
         monkeypatch.setattr(cli, "widened_fixpoint", fixpoint)
         out = io.StringIO()
         with redirect_stdout(out):
