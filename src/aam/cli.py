@@ -20,11 +20,14 @@ All emitted formats are byte-deterministic for a fixed configuration and
 input: states appear in first-discovery order (the contexts of a widened
 run in ``repr`` order) and every set is rendered sorted.
 
-A runner only reads its row (``_parts``) and picks a search
-(``trace_from``, ``explore_states``, ``widened_fixpoint``, the pushdown
-solver); ``_model`` assembles every run's output from the search's states,
-edges and finals.  A widened run prints the edges the fixpoint's last
-round found and steps no context again.
+``_dispatch`` reads the row (``_parts``) and picks a search: a concrete
+trace (``_trace``), a per-state graph (``explore_states``), the widened
+fixpoint (``_widened``) or the pushdown solver (``_pushdown``).  Every
+search returns the same shape, ``(states, edges, initial, finals,
+headline, extras)``, and ``_model`` alone turns it into output: the
+machine's reading, not the state, decides how stores print and how value
+flow is read.  A widened run prints the edges the fixpoint's last round
+found and steps no context again.
 
 Only JSON prints each state's environment and store.  A run's rows keep
 them unrendered and ``emit_json`` renders them, so text and dot output,
@@ -41,6 +44,7 @@ import dataclasses
 import json
 import signal
 import sys
+import textwrap
 from pathlib import Path
 from typing import Callable
 
@@ -50,7 +54,8 @@ from .gc import collect, collecting_step, collecting_successors
 from .inspection import SECURITY, annotate
 from .lazy import LAZY, Computed
 from .machines import (
-    Ar, CORE, Closure, FRESH_POLICY, Fn, LINKED_POLICY, inject_cek, step_cek, trace_from,
+    Ar, CESKtState, CORE, Closure, FRESH_POLICY, Fn, LINKED_POLICY, inject_cek, step_cek,
+    trace_from,
 )
 from .pushdown import reachable_pushdown, reachable_pushdown_widened
 from .store import ABSTRACT_STORE, Addr, InvariantError, sort_key
@@ -100,7 +105,7 @@ class ConfigError(Exception):
 class Row:
     """One state, with what every format prints already rendered.  The
     environment and store stay raw: only JSON prints them, through
-    ``_render_env`` and ``_render_store`` with ``abstract`` and ``show``."""
+    ``_render_env`` and ``_render_store``."""
 
     id: int
     control: str
@@ -109,13 +114,14 @@ class Row:
     kont: str
     time: str
     final: bool
-    abstract: bool
-    show: Callable[[object], str]
 
 
 @dataclasses.dataclass
 class Model:
-    """Renderer-ready view of one run, shared by all output formats."""
+    """Renderer-ready view of one run, shared by all output formats.
+    Every row's store prints one way: an ``abstract`` store maps each
+    address to a set of storables, and ``show`` prints storables and
+    frames."""
 
     machine: str
     k: int
@@ -126,23 +132,13 @@ class Model:
     value_flow: dict
     headline: str
     extras: list
+    abstract: bool
+    show: Callable[[object], str]
 
 
 # ---------------------------------------------------------------------------
 # Rendering helpers
 # ---------------------------------------------------------------------------
-
-
-def render_control(c) -> str:
-    return unparse(c) if isinstance(c, Exp) else repr(c)
-
-
-def render_value(v) -> str:
-    if isinstance(v, Closure):
-        return unparse(v.lam)
-    if isinstance(v, Exp):
-        return unparse(v)
-    return repr(v)
 
 
 # JSON is written directly, not built as a dict for ``json.dumps``, whose
@@ -168,8 +164,8 @@ class _JsonMemo:
 
     def __init__(self):
         self.envs = {}  # id(env) -> text
-        self.stores = {}  # (id(store), show, abstract) -> text
-        self.entries = {}  # (id(address), id(storable), show, abstract) -> (sort key, text)
+        self.stores = {}  # id(store) -> text
+        self.entries = {}  # (id(address), id(storable)) -> (sort key, text)
         self.addresses = {}  # id(address) -> (sort key, quoted repr)
 
     def address(self, a) -> tuple:
@@ -191,26 +187,28 @@ def _render_env(env, memo) -> str:
     return text
 
 
-def _render_store(store, abstract: bool, show, memo) -> str:
-    """The store's JSON object text: each address's ``repr`` maps to
-    ``show`` of its storable, or for an abstract store to the sorted list
-    of ``show`` of its values, entries in ``sort_key`` order of address.
+def _render_store(store, model: Model, memo) -> str:
+    """The store's JSON object text: each address's ``repr`` maps to the
+    model's ``show`` of its storable, or for an abstract store to the
+    sorted list of ``show`` of its values, entries in ``sort_key`` order of
+    address.
 
     A store, an entry and an address are each rendered once per ``memo``,
     so a store not seen before only looks its entries up, sorts them by
     their kept keys and joins them."""
     if not store:
         return "{}"
-    text = memo.stores.get((id(store), show, abstract))
+    text = memo.stores.get(id(store))
     if text is not None:
         return text
+    show = model.show
     parts = []
     for a, v in store.items():
-        ident = (id(a), id(v), show, abstract)
+        ident = (id(a), id(v))
         part = memo.entries.get(ident)
         if part is None:
             key, name = memo.address(a)
-            if abstract:
+            if model.abstract:
                 value = _json_block("[", map(_quote, sorted(show(w) for w in v)), "]", 4)
             else:
                 value = _quote(show(v))
@@ -218,7 +216,7 @@ def _render_store(store, abstract: bool, show, memo) -> str:
         parts.append(part)
     parts.sort()
     text = _json_block("{", (entry for _key, entry in parts), "}", 3)
-    memo.stores[id(store), show, abstract] = text
+    memo.stores[id(store)] = text
     return text
 
 
@@ -235,75 +233,51 @@ def _mono_repr(v) -> str:
     return repr(v)
 
 
-def _row(i, ctrl, env, store, kont, time, final, abstract, show=repr) -> Row:
-    return Row(
-        id=i,
-        control=render_control(ctrl),
-        env=env,
-        store=store,
-        kont="" if kont is None else show(kont),
-        time="" if time is None else repr(time),
-        final=final,
-        abstract=abstract,
-        show=show,
-    )
-
-
-def _state_row(i, state, final, abstract, mono=False) -> Row:
-    """``mono`` prints a k = 0 core state with no environment and no time,
-    and its storables and frames through ``_mono_repr``."""
-    return _row(
-        i,
-        state.ctrl,
-        None if mono else getattr(state, "env", None),
-        getattr(state, "store", None),
-        getattr(state, "kont", None),
-        None if mono else getattr(state, "time", None),
-        final,
-        abstract,
-        _mono_repr if mono else repr,
-    )
-
-
-def _model(args, states, row, *, edges, initial, finals, value_flow, headline, extras) -> Model:
-    """The one assembly of a run's output: ``row(i, state, final)`` renders
-    each state, and edges and finals, given as any collection of indices,
-    print sorted."""
+def _model(args, run) -> Model:
+    """The one assembly of a run's output from a search's ``(states, edges,
+    initial, finals, headline, extras)``; edges and finals, any collection
+    of indices, print sorted.  The machine's reading decides how every
+    state prints: a reading without a step budget is abstract, ``mono``
+    prints no environments or times and shows storables and frames through
+    ``_mono_repr``, and value flow is read off an abstract run's distinct
+    stores and off a concrete run's environments."""
+    states, edges, initial, finals, headline, extras = run
+    reading = MACHINE_TABLE[args.machine][1]
+    abstract = "fuel" not in ACCEPTS[reading]
+    mono = reading == "mono"
+    show = _mono_repr if mono else repr
     finals = sorted(finals)
     final_set = set(finals)
-    return Model(
-        machine=args.machine,
-        k=args.k or 0,
-        rows=[row(i, s, i in final_set) for i, s in enumerate(states)],
-        edges=sorted(edges),
-        initial=initial,
-        finals=finals,
-        value_flow=value_flow,
-        headline=headline,
-        extras=extras,
-    )
+    rows = []
+    for i, s in enumerate(states):
+        control = unparse(s.ctrl) if isinstance(s.ctrl, Exp) else repr(s.ctrl)
+        kont = "" if s.kont is None else show(s.kont)
+        time = "" if mono or getattr(s, "time", None) is None else repr(s.time)
+        env = None if mono else s.env
+        rows.append(Row(i, control, env, getattr(s, "store", None), kont, time, i in final_set))
+    if abstract:
+        flow = projection_flow({id(s.store): s.store for s in states}.values())
+    else:
+        flow = env_scan_flow(states)
+    return Model(args.machine, args.k or 0, rows, sorted(edges), initial, finals, flow, headline,
+                 extras, abstract, show)
 
 
 def _value_lambda(w):
-    if isinstance(w, Closure):
+    if isinstance(w, (Closure, Computed)):
         return w.lam
-    if isinstance(w, Lam):
-        return w
-    if isinstance(w, Computed):
-        return w.lam
-    return None
+    return w if isinstance(w, Lam) else None
 
 
 def projection_flow(stores) -> dict:
-    """Variable -> lambdas, read off binding addresses (contours dropped)."""
+    """Variable -> lambdas, read off abstract stores' binding addresses (contours dropped)."""
     flow: dict[str, set[str]] = {}
     for store in stores:
         for a, vs in store.items():
             var = getattr(a, "var", None)
             if var is None:
                 continue
-            values = vs if isinstance(vs, frozenset) else (vs,)
-            for w in values:
+            for w in vs:
                 lam = _value_lambda(w)
                 if lam is not None:
                     flow.setdefault(var, set()).add(unparse(lam))
@@ -315,14 +289,9 @@ def env_scan_flow(states) -> dict:
     Used for concrete machines, whose fresh addresses carry no variable."""
     flow: dict[str, set[str]] = {}
     for s in states:
-        env = getattr(s, "env", None)
-        if env is None:
-            continue
         store = getattr(s, "store", None)
-        for var, target in env.items():
-            w = target
-            if isinstance(target, Addr) and store is not None:
-                w = store.get(target)
+        for var, target in s.env.items():
+            w = store.get(target) if isinstance(target, Addr) and store is not None else target
             lam = _value_lambda(w)
             if lam is not None:
                 flow.setdefault(var, set()).add(unparse(lam))
@@ -384,7 +353,8 @@ def _parts(args, program):
     return initial, lambda s: lang.step(s, policy, arg)
 
 
-def _run_concrete(args, program) -> tuple[Model, int]:
+def _trace(args, program) -> tuple[tuple, int]:
+    """A concrete run, and its exit code: 3 if the machine got stuck."""
     initial, step = _parts(args, program)
     if args.gc:
         initial = collect(initial)
@@ -392,96 +362,71 @@ def _run_concrete(args, program) -> tuple[Model, int]:
     trace = trace_from(step, initial, 10000 if args.fuel is None else args.fuel)
     n = len(trace.states)
     if trace.outcome == "final":
-        headline = f"Final: {render_value(trace.value)}"
+        v = trace.value
+        headline = f"Final: {unparse(v.lam) if isinstance(v, Closure) else repr(v)}"
     elif trace.outcome == "fail":
         headline = "Fail"
     elif trace.outcome == "fuel":
         headline = f"Out of fuel after {trace.steps} steps"
     else:
         headline = f"Stuck: {trace.reason}"
-    model = _model(
-        args,
-        trace.states,
-        lambda i, s, final: _state_row(i, s, final, abstract=False),
-        edges=[(i, i + 1) for i in range(n - 1)],
-        initial=0,
-        finals=[n - 1] if trace.outcome == "final" else [],
-        value_flow=env_scan_flow(trace.states),
-        headline=headline,
-        extras=[f"steps: {trace.steps}"],
-    )
-    return model, 3 if trace.outcome == "stuck" else 0
+    edges = [(i, i + 1) for i in range(n - 1)]
+    finals = [n - 1] if trace.outcome == "final" else []
+    run = trace.states, edges, 0, finals, headline, [f"steps: {trace.steps}"]
+    return run, 3 if trace.outcome == "stuck" else 0
 
 
-def _pushdown_model(args, program) -> Model:
+def _pushdown(args, program) -> tuple:
+    """The saturated pushdown graph, each node read as an untimed state
+    whose continuation is the node's top frame."""
     if args.widen:
         widened = reachable_pushdown_widened(program.exp)
-        graph = widened.graph
-        extras = [f"iterations: {widened.iterations}"]
+        graph, extras = widened.graph, [f"iterations: {widened.iterations}"]
     else:
-        graph = reachable_pushdown(program.exp)
-        extras = []
+        graph, extras = reachable_pushdown(program.exp), []
+    states = [CESKtState(n.control.exp, n.control.env, n.control.store, n.top)
+              for n in graph.nodes]
     summaries = sorted((i, j) for i, j, kind in graph.edges if kind == "summary")
-    return _model(
-        args,
-        graph.nodes,
-        lambda i, node, final: _row(
-            i, node.control.exp, node.control.env, node.control.store, node.top, None, final, True
-        ),
-        edges=graph.edge_pairs(),
-        initial=graph.initial,
-        finals=graph.finals,
-        value_flow=projection_flow(n.control.store for n in graph.nodes),
-        headline=f"Saturated {len(graph.nodes)} nodes, {len(graph.finals)} final",
-        extras=extras + [f"summary edge: {i} -> {j}" for i, j in summaries],
-    )
+    extras += [f"summary edge: {i} -> {j}" for i, j in summaries]
+    headline = f"Saturated {len(states)} nodes, {len(graph.finals)} final"
+    return states, graph.edge_pairs(), graph.initial, graph.finals, headline, extras
 
 
-def _run_abstract(args, program) -> Model:
-    lang, reading, _arg = MACHINE_TABLE[args.machine]
-    if reading == "pushdown":
-        return _pushdown_model(args, program)
+def _widened(args, program) -> tuple:
+    """The widened fixpoint's contexts in ``repr`` order, each read with
+    the global store."""
+    lang = MACHINE_TABLE[args.machine][0]
     initial, successors = _parts(args, program)
-    mono = reading == "mono"
-    if args.widen:
-        system = widened_fixpoint(initial, successors)
-        store = system.store
-        states = sorted(system.contexts, key=sort_key)
-        index = {s: i for i, s in enumerate(states)}
-        finals = [i for i, s in enumerate(states) if lang.final(s)]
-        return _model(
-            args,
-            states,
-            lambda i, s, final: _state_row(i, dataclasses.replace(s, store=store), final, True, mono),
-            edges=[(index[s], index[t]) for s, t in system.edges],
-            initial=index[strip_store(initial)],
-            finals=finals,
-            value_flow=projection_flow([store]),
-            headline=f"Widened to {len(states)} contexts, {len(finals)} final",
-            extras=[f"iterations: {system.iterations}", f"store entries: {len(store)}"],
-        )
-    if args.gc:
-        initial = collect(initial, abstract=True)
-        successors = collecting_successors(successors)
-    graph = explore_states(initial, successors, lang.final)
-    return _model(
-        args,
-        graph.states,
-        lambda i, s, final: _state_row(i, s, final, True, mono),
-        edges=graph.edges,
-        initial=graph.initial,
-        finals=graph.finals,
-        value_flow=projection_flow(s.store for s in graph.states),
-        headline=f"Explored {len(graph.states)} states, {len(graph.finals)} final",
-        extras=[],
-    )
+    system = widened_fixpoint(initial, successors)
+    contexts = sorted(system.contexts, key=sort_key)
+    index = {s: i for i, s in enumerate(contexts)}
+    finals = [i for i, s in enumerate(contexts) if lang.final(s)]
+    states = [dataclasses.replace(s, store=system.store) for s in contexts]
+    edges = [(index[s], index[t]) for s, t in system.edges]
+    headline = f"Widened to {len(states)} contexts, {len(finals)} final"
+    extras = [f"iterations: {system.iterations}", f"store entries: {len(system.store)}"]
+    return states, edges, index[strip_store(initial)], finals, headline, extras
 
 
 def _dispatch(args, program) -> tuple[Model, int]:
     _validate_flags(args)
-    if "fuel" in ACCEPTS[MACHINE_TABLE[args.machine][1]]:
-        return _run_concrete(args, program)
-    return _run_abstract(args, program), 0
+    lang, reading, _arg = MACHINE_TABLE[args.machine]
+    code = 0
+    if "fuel" in ACCEPTS[reading]:
+        run, code = _trace(args, program)
+    elif reading == "pushdown":
+        run = _pushdown(args, program)
+    elif args.widen:
+        run = _widened(args, program)
+    else:
+        initial, successors = _parts(args, program)
+        if args.gc:
+            initial = collect(initial, abstract=True)
+            successors = collecting_successors(successors)
+        graph = explore_states(initial, successors, lang.final)
+        headline = f"Explored {len(graph.states)} states, {len(graph.finals)} final"
+        run = graph.states, graph.edges, graph.initial, graph.finals, headline, []
+    return _model(args, run), code
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +474,7 @@ def emit_json(model: Model) -> str:
             f'{sep}\n      "id": {r.id},\n      "control": {_quote(r.control)},\n      "env": ',
             _render_env(r.env, memo),
             ',\n      "store": ',
-            _render_store(r.store, r.abstract, r.show, memo),
+            _render_store(r.store, model, memo),
             f',\n      "kont": {_quote(r.kont)},\n      "time": {_quote(r.time)},'
             f'\n      "final": {"true" if r.final else "false"}\n    }}',
         )
@@ -574,12 +519,21 @@ EMITTERS = {"text": emit_text, "json": emit_json, "dot": emit_dot}
 # ---------------------------------------------------------------------------
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Wraps help text between words only, so no machine name is split."""
+
+    def _split_lines(self, text, width):
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="aam",
         description="Run abstract machines and the analyses derived from them.",
+        formatter_class=_HelpFormatter,
     )
-    p.add_argument("machine", choices=MACHINE_TABLE, metavar="machine")
+    p.add_argument("machine", choices=MACHINE_TABLE, metavar="machine",
+                   help="one of " + ", ".join(MACHINE_TABLE))
     p.add_argument("file", help="program file")
     p.add_argument("--k", type=int, default=None, metavar="N", help="contour depth")
     p.add_argument("--widen", action="store_true", help="single global store")

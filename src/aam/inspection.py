@@ -124,7 +124,7 @@ def mark(kont: Kont, perms: frozenset[str], value: str) -> Kont:
 
 # Security-machine states have the core store machines' fields; ``time`` is
 # ``None`` in the linked machine.
-CMState = CMStarState = CESKtState
+CMStarState = CESKtState
 
 
 def inject_cm(e: Exp, universe: frozenset[str]) -> CMStarState:

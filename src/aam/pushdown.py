@@ -35,13 +35,11 @@ from typing import Optional, Union
 
 from .machines import (
     Ar,
-    CESKtState,
     CORE,
     Closure,
     FRESH_POLICY,
     LinkedPolicy,
     Mt,
-    StepOutcome,
     Trace,
     step_ceskt,
     trace_from,
@@ -344,14 +342,6 @@ class PdTraceState:
     time: object
 
 
-def inject_pd_trace(e: Exp, policy=FRESH_POLICY) -> CESKtState:
-    return CORE.inject(e, None, policy.t0)
-
-
-def step_pd_trace(s: CESKtState, policy=FRESH_POLICY) -> StepOutcome:
-    return step_ceskt(s, LinkedPolicy(policy))
-
-
 def _pd_stack(kont) -> tuple:
     frames = []
     while not isinstance(kont, Mt):
@@ -364,7 +354,7 @@ def run_pd_trace(e: Exp, fuel: int = 10000, policy=FRESH_POLICY) -> Trace:
     """Run the companion, laying each state's frames out as a ``stack`` of
     ``ArP``/``FnP``, bottom first."""
     linked = LinkedPolicy(policy)
-    trace = trace_from(lambda s: step_ceskt(s, linked), inject_pd_trace(e, policy), fuel)
+    trace = trace_from(lambda s: step_ceskt(s, linked), CORE.inject(e, None, policy.t0), fuel)
     trace.states = [
         PdTraceState(s.ctrl, s.env, s.store, _pd_stack(s.kont), s.time) for s in trace.states
     ]

@@ -11,6 +11,10 @@ A refactoring of the machines must leave every hash in place.  When an
 output change is intended, re-record with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
+
+To compare against the recorded hashes without pytest, on any supported
+Python, run it with ``--check``: it exits 1 and names the first changed
+cases if any output differs.
 """
 
 from __future__ import annotations
@@ -99,10 +103,20 @@ def test_every_flag_and_format_is_covered():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    if sys.argv[1:] not in (["--record"], ["--check"]):
         raise SystemExit(__doc__)
     import tempfile
 
     with tempfile.TemporaryDirectory() as d:
-        GOLDEN.write_text(json.dumps(record(Path(d)), indent=1, sort_keys=True) + "\n")
-    print(f"recorded {GOLDEN}")
+        got = record(Path(d))
+    if sys.argv[1] == "--record":
+        GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+        print(f"recorded {GOLDEN}")
+    else:
+        want = json.loads(GOLDEN.read_text())
+        changed = [cid for cid in got if got[cid] != want.get(cid)]
+        changed += sorted(want.keys() - got.keys())
+        if changed:
+            print(f"{len(changed)} cases changed, first: {changed[:5]}", file=sys.stderr)
+            raise SystemExit(1)
+        print(f"{len(got)} cases match {GOLDEN.name}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from corpus import divergent_corpus
+from corpus import divergent_corpus, terminating_corpus
 from test_cli_golden import cases
 from aam import cli
 from aam.cli import Model, Row, emit_json
@@ -48,7 +48,7 @@ def reference_json(model: Model) -> str:
                 "id": r.id,
                 "control": r.control,
                 "env": reference_env(r.env),
-                "store": reference_store(r.store, r.abstract, r.show),
+                "store": reference_store(r.store, model.abstract, model.show),
                 "kont": r.kont,
                 "time": r.time,
                 "final": r.final,
@@ -108,7 +108,7 @@ class Named:
 AWKWARD = ('quote"', "back\\slash", "acuteé", "new\nline", "control\x01")
 
 
-def row(i, env=None, store=None, abstract=False, show=repr, final=False) -> Row:
+def row(i, env=None, store=None, final=False) -> Row:
     return Row(
         id=i,
         control=AWKWARD[i % len(AWKWARD)],
@@ -117,12 +117,10 @@ def row(i, env=None, store=None, abstract=False, show=repr, final=False) -> Row:
         kont="é\\\"",
         time="\n\x01",
         final=final,
-        abstract=abstract,
-        show=show,
     )
 
 
-def hand_model(rows, edges=(), finals=(), flow=None) -> Model:
+def hand_model(rows, edges=(), finals=(), flow=None, abstract=False, show=repr) -> Model:
     return Model(
         machine='m"é',
         k=1,
@@ -133,53 +131,41 @@ def hand_model(rows, edges=(), finals=(), flow=None) -> Model:
         value_flow={} if flow is None else flow,
         headline="",
         extras=[],
+        abstract=abstract,
+        show=show,
     )
 
 
 def test_awkward_strings_match_json_dumps():
+    """One model per store kind, each also under a printer of its own."""
     env = FrozenMap({text: Named(text[::-1]) for text in AWKWARD})
     concrete = FrozenMap({Named(text): Named(text.upper()) for text in AWKWARD})
     abstract = FrozenMap({Named(text): frozenset(map(Named, AWKWARD[:3])) for text in AWKWARD})
-    m = hand_model(
-        [
-            row(0, env, concrete),
-            row(1, env, abstract, abstract=True),
-            row(2, FrozenMap({"x": Named("@0")}), concrete, show=lambda v: f"<{v!r}>", final=True),
-        ],
-        edges=[(0, 1), (1, 2)],
-        finals=[2],
-        flow={text: sorted(AWKWARD) for text in AWKWARD},
-    )
-    assert emit_json(m) == reference_json(m)
+    for store, is_abstract in ((concrete, False), (abstract, True)):
+        for show in (repr, lambda v: f"<{v!r}>"):
+            m = hand_model(
+                [
+                    row(0, env, store),
+                    row(1, env, store),
+                    row(2, FrozenMap({"x": Named("@0")}), store, final=True),
+                ],
+                edges=[(0, 1), (1, 2)],
+                finals=[2],
+                flow={text: sorted(AWKWARD) for text in AWKWARD},
+                abstract=is_abstract,
+                show=show,
+            )
+            assert emit_json(m) == reference_json(m)
 
 
 def test_empty_parts_match_json_dumps():
+    concrete = hand_model([row(0), row(1, FrozenMap(), FrozenMap())])
     bottom = FrozenMap({Named("a"): frozenset()})
-    m = hand_model(
-        [
-            row(0),
-            row(1, FrozenMap(), FrozenMap()),
-            row(2, FrozenMap(), FrozenMap(), abstract=True),
-            row(3, None, bottom, abstract=True),
-        ]
+    abstract = hand_model(
+        [row(0), row(1, FrozenMap(), FrozenMap()), row(2, None, bottom)], abstract=True
     )
-    assert emit_json(m) == reference_json(m)
-    assert emit_json(hand_model([])) == reference_json(hand_model([]))
-
-
-def test_rows_sharing_a_store_keep_their_own_printer():
-    store = FrozenMap({Named("a"): Named("v")})
-    sets = FrozenMap({Named("a"): frozenset({Named("v")})})
-    m = hand_model(
-        [
-            row(0, None, store),
-            row(1, None, store, show=lambda v: "shown"),
-            row(2, None, sets, abstract=True),
-            row(3, None, sets, abstract=True, show=lambda v: "shown"),
-            row(4, None, store),
-        ]
-    )
-    assert emit_json(m) == reference_json(m)
+    for m in (concrete, abstract, hand_model([]), hand_model([], abstract=True)):
+        assert emit_json(m) == reference_json(m)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +173,9 @@ def test_rows_sharing_a_store_keep_their_own_printer():
 # ---------------------------------------------------------------------------
 
 
-def test_each_store_entry_is_rendered_once(tmp_path):
-    """A concrete trace's rows hold one growing store, so most entries sit
-    in many rows; each distinct (address, storable) pair is shown once."""
-    text = unparse(divergent_corpus()[1]) + "\n"
-    m = model_of(text, ["ceskt", "--fuel", "300", "--format", "json"], tmp_path)
+def shown_once(m: Model) -> tuple[list, list]:
+    """Emit ``m`` again with its printer counting calls: what was shown, and
+    the (address, storable) pairs its rows hold."""
     plain = emit_json(m)
     shown = []
 
@@ -199,9 +183,29 @@ def test_each_store_entry_is_rendered_once(tmp_path):
         shown.append(v)
         return repr(v)
 
-    for r in m.rows:
-        r.show = counted
+    m.show = counted
     assert emit_json(m) == plain
-    held = [(id(a), id(v)) for r in m.rows for a, v in r.store.items()]
+    return shown, [(id(a), id(v)) for r in m.rows for a, v in r.store.items()]
+
+
+def test_each_store_entry_is_rendered_once(tmp_path):
+    """A concrete trace's rows hold one growing store, so most entries sit
+    in many rows; each distinct (address, storable) pair is shown once."""
+    text = unparse(divergent_corpus()[1]) + "\n"
+    m = model_of(text, ["ceskt", "--fuel", "300", "--format", "json"], tmp_path)
+    shown, held = shown_once(m)
     assert len(m.rows) == 301 and len(held) > 4 * len(set(held))
     assert len(shown) == len(set(held))
+
+
+def test_each_abstract_store_entry_is_rendered_once(tmp_path):
+    """An abstract entry maps an address to a set: each distinct (address,
+    set) pair is shown once, one call per value in the set.  This program
+    joins two closures at one address."""
+    text = unparse(terminating_corpus()[9]) + "\n"
+    m = model_of(text, ["kcfa", "--k", "1", "--format", "json"], tmp_path)
+    assert m.abstract
+    shown, held = shown_once(m)
+    entries = {(id(a), id(vs)): vs for r in m.rows for a, vs in r.store.items()}
+    assert len(held) > 10 * len(entries)
+    assert len(shown) == sum(len(vs) for vs in entries.values()) > len(entries)

@@ -27,8 +27,9 @@ from aam.extended import inject_extended, step_extended
 from aam.gc import collect, collecting_step
 from aam.inspection import inject_cm, inject_cm_star, step_cm, step_cm_star
 from aam.lazy import VARIANTS, inject_lk, inject_lk_star, step_lk, step_lk_star
-from aam.machines import TIME_KEYED_POLICY, inject_ceskt, run_trace, step_ceskt, trace_from
-from aam.pushdown import inject_pd_trace, step_pd_trace
+from aam.machines import (
+    TIME_KEYED_POLICY, LinkedPolicy, inject_ceskt, run_trace, step_ceskt, trace_from,
+)
 from aam.store import (
     CONCRETE_STORE,
     BindA,
@@ -222,8 +223,9 @@ def test_concrete_writes_carry_the_mark(monkeypatch):
 
 def test_time_keyed_stores_hold_no_fresh_addresses(monkeypatch):
     counts = count_scans(monkeypatch)
-    initial = replace(inject_pd_trace(church_mul(2), TIME_KEYED_POLICY), store=FrozenMap())
-    trace = trace_from(lambda s: step_pd_trace(s, TIME_KEYED_POLICY), initial, FUEL)
+    policy = LinkedPolicy(TIME_KEYED_POLICY)
+    initial = replace(inject_ceskt(church_mul(2), TIME_KEYED_POLICY), store=FrozenMap())
+    trace = trace_from(lambda s: step_ceskt(s, policy), initial, FUEL)
     assert trace.outcome == "final"
     assert counts["calls"] == 0
     last = trace.states[-1].store
