@@ -29,7 +29,6 @@ over abstract ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .analysis import alpha_fields
@@ -53,6 +52,7 @@ from .store import (
     TAG_REIFY,
     Time,
     cached_repr,
+    value_class,
 )
 from .syntax import (
     App,
@@ -69,7 +69,7 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
+@value_class
 class FalseV(Value):
     tick_label = -2
 
@@ -77,7 +77,7 @@ class FalseV(Value):
         return "#f"
 
 
-@dataclass(frozen=True)
+@value_class
 class CallccV(Value):
     tick_label = -3
 
@@ -85,7 +85,7 @@ class CallccV(Value):
         return "callcc"
 
 
-@dataclass(frozen=True)
+@value_class
 class KontV(Value):
     addr: Addr
     tick_label = -4
@@ -98,18 +98,17 @@ FALSE = FalseV()
 CALLCC = CallccV()
 
 
-@dataclass(frozen=True)
 class Handler:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@value_class
 class MtH(Handler):
     def __repr__(self) -> str:
         return "MtH"
 
 
-@dataclass(frozen=True)
+@value_class
 class Hn(Handler):
     lam: Lam
     env: Env
@@ -122,7 +121,7 @@ class Hn(Handler):
 MTH = MtH()
 
 
-@dataclass(frozen=True)
+@value_class
 class HandlerPair:
     """Storable snapshot of (handler register, continuation register)."""
 
@@ -136,7 +135,7 @@ class HandlerPair:
 # Frames.  Each records the label of the node that pushed it; the reified
 # continuation address produced when callcc meets a continuation value is
 # keyed by that site.
-@dataclass(frozen=True)
+@value_class
 class ArX(Kont):
     exp: Exp
     env: Env
@@ -148,7 +147,7 @@ class ArX(Kont):
         return f"Ar({self.exp!r} {self.env!r} #{self.site} {self.tail!r})"
 
 
-@dataclass(frozen=True)
+@value_class
 class FnX(Kont):
     op: Value
     site: int
@@ -159,7 +158,7 @@ class FnX(Kont):
         return f"Fn({self.op!r} #{self.site} {self.tail!r})"
 
 
-@dataclass(frozen=True)
+@value_class
 class IfK(Kont):
     then: Exp
     other: Exp
@@ -172,7 +171,7 @@ class IfK(Kont):
         return f"If({self.then!r} {self.other!r} {self.env!r} #{self.site} {self.tail!r})"
 
 
-@dataclass(frozen=True)
+@value_class
 class SetK(Kont):
     target: Addr
     site: int
@@ -183,7 +182,7 @@ class SetK(Kont):
         return f"Set({self.target!r} #{self.site} {self.tail!r})"
 
 
-@dataclass(frozen=True)
+@value_class
 class ExtState:
     ctrl: Union[Exp, Value]
     env: Env

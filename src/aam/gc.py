@@ -108,12 +108,16 @@ def collect(state, abstract: bool = False):
 
 
 def collecting_step(step: Callable) -> Callable:
-    """Wrap a concrete step function so every successor state is collected."""
+    """Wrap a concrete step function so every successor state is collected.
+    An outcome whose successor has nothing dead is returned as it is."""
 
     def wrapped(state, *args, **kwargs):
         out = step(state, *args, **kwargs)
         successor = getattr(out, "state", None)  # only a Next outcome has one
-        return out if successor is None else type(out)(collect(successor))
+        if successor is None:
+            return out
+        collected = collect(successor)
+        return out if collected is successor else type(out)(collected)
 
     return wrapped
 

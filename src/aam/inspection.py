@@ -34,7 +34,6 @@ with it.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from typing import Union
 
 from .analysis import alpha_fields
@@ -56,6 +55,7 @@ from .store import (
     Env,
     FrozenMap,
     cached_repr,
+    value_class,
 )
 from .syntax import (
     App,
@@ -79,7 +79,7 @@ Marks = FrozenMap  # permission -> GRANT | DENY
 EMPTY_MARKS = EMPTY_MAP
 
 
-@dataclass(frozen=True)
+@value_class
 class MtM(Kont):
     marks: Marks = EMPTY_MARKS
 
@@ -88,7 +88,7 @@ class MtM(Kont):
         return f"Mt^{self.marks!r}"
 
 
-@dataclass(frozen=True)
+@value_class
 class ArM(Kont):
     exp: Exp
     env: Env
@@ -100,7 +100,7 @@ class ArM(Kont):
         return f"Ar^{self.marks!r}({self.exp!r} {self.env!r} {self.tail!r})"
 
 
-@dataclass(frozen=True)
+@value_class
 class FnM(Kont):
     lam: Lam
     env: Env

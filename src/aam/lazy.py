@@ -30,7 +30,6 @@ stores (joins and fan-outs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .analysis import alpha_fields
@@ -52,13 +51,14 @@ from .store import (
     TAG_KONT,
     TAG_THUNK,
     cached_repr,
+    value_class,
 )
 from .syntax import App, CORE_FORMS, Exp, Lam, Ref
 
 VARIANTS = ("standard", "opt", "postponed")
 
 
-@dataclass(frozen=True)
+@value_class
 class Delayed:
     exp: Exp
     env: Env
@@ -67,7 +67,7 @@ class Delayed:
         return f"delay[{self.exp!r} {self.env!r}]"
 
 
-@dataclass(frozen=True)
+@value_class
 class Computed:
     lam: Lam
     env: Env
@@ -76,7 +76,7 @@ class Computed:
         return f"memo[{self.lam!r} {self.env!r}]"
 
 
-@dataclass(frozen=True)
+@value_class
 class UpdateK(Kont):
     target: Addr
     tail: Union[Kont, Addr]
@@ -86,7 +86,7 @@ class UpdateK(Kont):
         return f"Upd({self.target!r} {self.tail!r})"
 
 
-@dataclass(frozen=True)
+@value_class
 class ApplyK(Kont):
     arg: Addr
     tail: Union[Kont, Addr]
@@ -96,7 +96,7 @@ class ApplyK(Kont):
         return f"Ap({self.arg!r} {self.tail!r})"
 
 
-@dataclass(frozen=True)
+@value_class
 class ApplyExpK(Kont):
     exp: Exp
     env: Env

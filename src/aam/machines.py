@@ -65,6 +65,7 @@ from .store import (
     UpdateA,
     cached_repr,
     fresh_addr,
+    value_class,
 )
 from .syntax import App, CORE_FORMS, Exp, Lam, Ref, check_closed, check_features
 
@@ -74,8 +75,9 @@ from .syntax import App, CORE_FORMS, Exp, Lam, Ref, check_closed, check_features
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Value:
+    __slots__ = ("_repr",)  # the text ``cached_repr`` keeps
+
     # Sentinel contour entry used when a machine's control register holds a
     # value with no syntax node (continuations, stored literals).
     tick_label = -1
@@ -85,7 +87,7 @@ def tick_label(ctrl) -> int:
     return ctrl.label if isinstance(ctrl, Exp) else ctrl.tick_label
 
 
-@dataclass(frozen=True)
+@value_class
 class Closure(Value):
     lam: Lam
     env: Env
@@ -95,18 +97,17 @@ class Closure(Value):
         return f"clo[{self.lam!r} {self.env!r}]"
 
 
-@dataclass(frozen=True)
 class Kont:
-    pass
+    __slots__ = ("_repr",)  # the text ``cached_repr`` keeps
 
 
-@dataclass(frozen=True)
+@value_class
 class Mt(Kont):
     def __repr__(self) -> str:
         return "Mt"
 
 
-@dataclass(frozen=True)
+@value_class
 class Ar(Kont):
     exp: Exp
     env: Env
@@ -117,7 +118,7 @@ class Ar(Kont):
         return f"Ar({self.exp!r} {self.env!r} {self.tail!r})"
 
 
-@dataclass(frozen=True)
+@value_class
 class Fn(Kont):
     lam: Lam
     env: Env
@@ -136,22 +137,22 @@ MT = Mt()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class Next:
     state: object
 
 
-@dataclass(frozen=True)
+@value_class
 class Final:
     value: object
 
 
-@dataclass(frozen=True)
+@value_class
 class Stuck:
     reason: str
 
 
-@dataclass(frozen=True)
+@value_class
 class FailFinal:
     """Distinguished halt for the security machines' fail form."""
 
@@ -164,14 +165,14 @@ StepOutcome = Union[Next, Final, Stuck, FailFinal]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class CEKState:
     ctrl: Exp
     env: Env
     kont: Kont
 
 
-@dataclass(frozen=True)
+@value_class
 class CESKtState:
     """A state of the store machines; ``time`` is ``None`` in the untimed
     CESK and CESK* machines.  The by-need and security machines' states

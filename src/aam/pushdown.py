@@ -57,6 +57,7 @@ from .store import (
     astore_get,
     astore_join,
     sort_key,
+    value_class,
 )
 from .syntax import App, Exp, Lam, Ref
 
@@ -79,7 +80,7 @@ PUSHDOWN_MONO = PdPolicy(0)
 PUSHDOWN_VALUE = PdPolicy(1)
 
 
-@dataclass(frozen=True)
+@value_class
 class ArP:
     exp: Exp
     env: Env
@@ -88,7 +89,7 @@ class ArP:
         return f"ArP({self.exp!r} {self.env!r})"
 
 
-@dataclass(frozen=True)
+@value_class
 class FnP:
     lam: Lam
     env: Env
@@ -100,7 +101,7 @@ class FnP:
 PdFrame = Union[ArP, FnP]
 
 
-@dataclass(frozen=True)
+@value_class
 class PdControl:
     """The finite part of a pushdown configuration."""
 
@@ -112,7 +113,7 @@ class PdControl:
         return f"<{self.exp!r} {self.env!r} {self.store!r}>"
 
 
-@dataclass(frozen=True)
+@value_class
 class PdNode:
     control: PdControl
     top: Optional[PdFrame]
@@ -333,7 +334,7 @@ def enumerate_bounded(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class PdTraceState:
     ctrl: Exp
     env: Env

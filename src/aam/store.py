@@ -32,6 +32,13 @@ there leaves the store alone.  That is how a linked continuation reads the
 rules written for store-allocated ones; the allocation policy decides which
 frames are linked.  A concrete state whose time is ``None`` is untimed and
 stays so.
+
+Addresses and times, like every object a step builds, are ``value_class``
+dataclasses: slotted, hashed and compared over their fields, and immutable
+by convention.  Their bases (``Addr``, ``Time``, and ``Value`` and ``Kont``
+in ``machines``) are plain classes with ``__slots__``; a base whose
+subclasses render through ``cached_repr`` keeps the rendered text in its
+``_repr`` slot.
 """
 
 from __future__ import annotations
@@ -65,24 +72,36 @@ class MachineStuck(Exception):
 _ABSENT = object()
 
 
+# The decorator of every class a step or a search builds: states, frames,
+# values, storables, addresses, times and step outcomes.  Equality, the
+# hash, ``repr``, ``fields`` and ``replace`` are the dataclass's, over the
+# fields.  Instances have slots and no ``__dict__``, and the generated
+# ``__init__`` assigns through the slots instead of calling
+# ``object.__setattr__`` per field as a frozen dataclass does, so building
+# one costs about what a plain object does.  They are immutable by
+# convention, as a ``FrozenMap`` is: no code assigns a field after
+# construction, and ``tests/test_value_classes.py`` checks that none does.
+value_class = dataclass(slots=True, unsafe_hash=True)
+
+
 def cached_repr(render):
     """Make ``render`` a ``__repr__`` that renders each object once.
 
-    The text is kept on the object the way ``syntax.unparse`` keeps a
-    node's: it is not a field, so equality, hashing and
-    ``dataclasses.replace`` ignore it, and no constructor sets it, so a step
-    that builds the object pays nothing for it.  ``sort_key`` asks for it
-    whenever a fan-out orders storables; a map, closure or frame in a
-    trace's store is rendered once however many states hold it, and a
-    linked frame renders its tail from the tail's kept text."""
+    The text is kept in the ``_repr`` slot of the class's base (``Value``,
+    ``Kont``, ``FrozenMap``), the way ``syntax.unparse`` keeps a node's: it
+    is not a field, so equality, hashing and ``dataclasses.replace`` ignore
+    it, and no constructor sets it, so a step that builds the object pays
+    nothing for it.  ``sort_key`` asks for it whenever a fan-out orders
+    storables; a map, closure or frame in a trace's store is rendered once
+    however many states hold it, and a linked frame renders its tail from
+    the tail's kept text."""
 
     def __repr__(self) -> str:
         try:
             return self._repr
         except AttributeError:
             pass
-        r = render(self)
-        object.__setattr__(self, "_repr", r)
+        r = self._repr = render(self)
         return r
 
     return __repr__
@@ -207,12 +226,11 @@ Env = FrozenMap
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Time:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@value_class
 class Tick(Time):
     n: int
 
@@ -220,7 +238,7 @@ class Tick(Time):
         return f"t{self.n}"
 
 
-@dataclass(frozen=True)
+@value_class
 class Contour(Time):
     """A sequence of node labels, most recent first."""
 
@@ -251,12 +269,11 @@ TAG_THUNK = "thunk"
 TAG_REIFY = "reify"
 
 
-@dataclass(frozen=True)
 class Addr:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@value_class
 class FreshA(Addr):
     n: int
 
@@ -264,7 +281,7 @@ class FreshA(Addr):
         return f"@{self.n}"
 
 
-@dataclass(frozen=True)
+@value_class
 class BindA(Addr):
     var: str
     time: Time
@@ -273,7 +290,7 @@ class BindA(Addr):
         return f"bind:{self.var}@{self.time!r}"
 
 
-@dataclass(frozen=True)
+@value_class
 class KontA(Addr):
     site: int
     time: Time
@@ -283,7 +300,7 @@ class KontA(Addr):
         return f"{self.tag}:{self.site}@{self.time!r}"
 
 
-@dataclass(frozen=True)
+@value_class
 class UpdateA(Addr):
     var: str
     time: Time
@@ -292,7 +309,7 @@ class UpdateA(Addr):
         return f"upd:{self.var}@{self.time!r}"
 
 
-@dataclass(frozen=True)
+@value_class
 class MonoBindA(Addr):
     var: str
 
@@ -300,7 +317,7 @@ class MonoBindA(Addr):
         return f"bind:{self.var}"
 
 
-@dataclass(frozen=True)
+@value_class
 class MonoKontA(Addr):
     site: int
     tag: str = TAG_KONT
@@ -309,7 +326,7 @@ class MonoKontA(Addr):
         return f"{self.tag}:{self.site}"
 
 
-@dataclass(frozen=True)
+@value_class
 class MonoUpdateA(Addr):
     var: str
 

@@ -14,9 +14,9 @@ from oracles import (
     store_value_term,
     to_cek_state,
 )
-from aam.extended import IfK
-from aam.inspection import EMPTY_MARKS, ArM
-from aam.lazy import UpdateK
+from aam.extended import ArX, FnX, IfK, SetK
+from aam.inspection import EMPTY_MARKS, ArM, FnM, MtM
+from aam.lazy import ApplyExpK, ApplyK, UpdateK
 from aam.machines import (
     FRESH_POLICY,
     MACHINES,
@@ -27,14 +27,25 @@ from aam.machines import (
     Fn,
     FreshTickPolicy,
     Final,
+    Kont,
     Next,
+    Value,
     inject_ceskt,
     run_trace,
     step_cek,
     step_ceskt,
     trace_from,
 )
-from aam.store import EMPTY_MAP, BindA, Contour, FreshA, KontA, Tick, time_strictly_precedes
+from aam.store import (
+    EMPTY_MAP,
+    BindA,
+    Contour,
+    FreshA,
+    KontA,
+    Tick,
+    cached_repr,
+    time_strictly_precedes,
+)
 from aam.syntax import parse, unparse
 
 TOWER = ("cek", "cesk", "ceskstar", "ceskt")
@@ -177,20 +188,40 @@ class TestPolicyAsserts:
 
 LAM = parse("(lambda (x) (x x))")
 ENV = EMPTY_MAP.set("y", FreshA(0))
-# name -> (make a fresh object, a field to replace, a value to replace it with)
+# name -> (make a fresh object, a field to replace, a value to replace it with),
+# for every class that renders through ``cached_repr``
 RENDERED = {
     "Closure": (lambda: Closure(LAM, ENV), "env", EMPTY_MAP),
     "Ar": (lambda: Ar(LAM.body, ENV, FreshA(1)), "tail", FreshA(2)),
     "Fn": (lambda: Fn(LAM, ENV, MT), "env", EMPTY_MAP),
     "UpdateK": (lambda: UpdateK(FreshA(1), MT), "target", FreshA(2)),
+    "ApplyK": (lambda: ApplyK(FreshA(1), MT), "arg", FreshA(2)),
+    "ApplyExpK": (lambda: ApplyExpK(LAM.body, ENV, MT), "env", EMPTY_MAP),
+    "ArX": (lambda: ArX(LAM.body, ENV, 3, FreshA(1)), "site", 4),
+    "FnX": (lambda: FnX(Closure(LAM, ENV), 3, FreshA(1)), "op", Closure(LAM, EMPTY_MAP)),
     "IfK": (lambda: IfK(LAM.body, LAM, ENV, 4, FreshA(1)), "site", 5),
+    "SetK": (lambda: SetK(FreshA(0), 3, FreshA(1)), "target", FreshA(2)),
+    "MtM": (lambda: MtM(EMPTY_MARKS.set("p", True)), "marks", EMPTY_MARKS),
     "ArM": (lambda: ArM(LAM.body, ENV, EMPTY_MARKS.set("p", True), MT), "marks", EMPTY_MARKS),
+    "FnM": (lambda: FnM(LAM, ENV, EMPTY_MARKS, MT), "tail", FreshA(1)),
 }
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
 
 
 class TestReprCache:
     """Closures and frames keep their text once rendered; the kept text is
     not a field."""
+
+    def test_every_cached_repr_class_is_covered(self):
+        cached = cached_repr(repr).__qualname__
+        classes = {c.__name__ for base in (Value, Kont) for c in _subclasses(base)
+                   if c.__repr__.__qualname__ == cached}
+        assert classes == set(RENDERED)
 
     @pytest.mark.parametrize("name", RENDERED)
     def test_a_rendered_object_is_a_fresh_copy_rendered_once(self, name):
