@@ -1,9 +1,16 @@
 """Environments, stores, times, and addresses.
 
-Concrete stores are exact finite maps updated destructively (an allocation
-must be fresh, a rebind overwrites).  Abstract stores map addresses to
-non-empty sets of storables; absent addresses mean bottom, update means
-join, and lookup of an absent address yields the empty set.
+Every map here (environments and both kinds of store) is a ``FrozenMap``:
+immutable, so each state keeps its own version and a write makes a new map.
+A map of up to ``TRIE_THRESHOLD`` entries is one dict that a write copies;
+a larger one is a hash trie whose writes copy one path and share the rest,
+so a long concrete trace keeps O(log n) new memory per state instead of a
+copy of its whole store.
+
+Concrete stores are exact finite maps (an allocation must be fresh, a
+rebind overwrites).  Abstract stores map addresses to non-empty sets of
+storables; absent addresses mean bottom, update means join, and lookup of
+an absent address yields the empty set.
 
 Address families:
 
@@ -43,8 +50,10 @@ subclasses render through ``cached_repr`` keeps the rendered text in its
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import ItemsView, Iterator, KeysView, Mapping, ValuesView
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Any, TypeVar
 
 K = TypeVar("K")
@@ -107,16 +116,46 @@ def cached_repr(render):
     return __repr__
 
 
+# A map of more than this many entries is a hash trie (see ``FrozenMap``),
+# and a trie's leaf holds at most this many hashes.  Time alone would put
+# it higher: one write and two lookups cost less on a trie than on a whole
+# dict only from about 400 entries.  But every state a trace keeps holds
+# the leaf its write copied, and concrete-ladder latencies were the same at
+# 64, 96, 128 and 256, so the threshold is the one that keeps the least
+# (the sweep is in BENCH_14.json).
+TRIE_THRESHOLD = 64
+# Bits of ``hash(key)`` that pick a branch's child, and so its fan-out.
+TRIE_BITS = 5
+_FANOUT = 1 << TRIE_BITS
+_MASK = _FANOUT - 1
+# The one empty leaf: every absent child of every branch.  Never written.
+_EMPTY_LEAF: dict = {}
+
+
 class FrozenMap(Mapping):
     """Immutable hashable map; functional update via set/update/without.
 
+    A map of at most ``TRIE_THRESHOLD`` entries keeps them in one dict, and
+    a write copies it.  A larger map is a hash trie that shares structure
+    with the maps it was written from (Bagwell, *Ideal Hash Trees*, 2001):
+    a branch is a tuple of ``2 ** TRIE_BITS`` children, picked by the next
+    ``TRIE_BITS`` bits of the key's hash, and a leaf is a dict from hashes
+    to entries.  A node is a branch exactly when more than
+    ``TRIE_THRESHOLD`` distinct hashes share its hash prefix (keys of one
+    hash share an entry), so a key set has one shape however it was built.
+    ``set`` copies one leaf and the branches above it, so each store a
+    trace keeps costs O(log n) time and memory instead of a copy of the
+    whole store.  Lookups walk at most the trie's depth; iteration order
+    is the trie's, and nothing that prints depends on it.  No code outside
+    this module sees which form a map has.
+
     The hash is the sum of the hashes of the ``(key, value)`` items, so it
-    does not depend on insertion order and can be kept up to date.  It is
-    computed on first use.  ``set`` on a map whose hash is known derives
-    the new map's hash in O(1): it subtracts the replaced item's hash and
-    adds the new one's.  A map nothing ever hashed (a concrete store) pays
-    one ``None`` check for this.  The other updates leave the hash to be
-    computed lazily.
+    does not depend on insertion order or form and can be kept up to date.
+    It is computed on first use.  ``set`` on a map whose hash is known
+    derives the new map's hash in O(1): it subtracts the replaced item's
+    hash and adds the new one's.  A map nothing ever hashed (a concrete
+    store) pays one ``None`` check for this.  The other updates leave the
+    hash to be computed lazily.
 
     ``_top`` is the largest ``FreshA`` number among the keys (-1 if there
     is none), or ``None`` while unknown.  Only concrete stores keep it:
@@ -127,22 +166,38 @@ class FrozenMap(Mapping):
     ``_repr`` keeps the rendering (see ``cached_repr``); a derived map
     never sees its parent's string."""
 
+    # ``_d`` is the dict of a small map or the ``_Trie`` of a large one;
+    # both answer the same reads, so the methods below rarely ask which.
     __slots__ = ("_d", "_hash", "_top", "_repr")
 
     def __init__(self, items: Mapping | Iterator | tuple = ()):
-        self._d = dict(items)
+        d = dict(items)
+        self._d = _Trie.build(d) if len(d) > TRIE_THRESHOLD else d
         self._hash = None
         self._top = None
 
     @classmethod
-    def _adopt(cls, d: dict, h: int | None = None) -> "FrozenMap":
-        """Wrap a fresh dict that no one else holds, without copying it;
-        ``h`` is its hash when the caller already knows it."""
+    def _wrap(cls, d: dict | _Trie, h: int | None) -> "FrozenMap":
+        """A map over ``d``, a dict or trie of its size that no one else
+        holds; ``h`` is its hash when the caller already knows it."""
         m = cls.__new__(cls)
         m._d = d
         m._hash = h
         m._top = None
         return m
+
+    @classmethod
+    def _adopt(cls, d: dict) -> "FrozenMap":
+        """Wrap a fresh dict that no one else holds, without copying it (a
+        large one becomes a trie)."""
+        return cls._wrap(_Trie.build(d) if len(d) > TRIE_THRESHOLD else d, None)
+
+    def _copy(self) -> dict:
+        """A fresh dict of the entries.  A small map's is a copy that keeps
+        the dict's stored hashes; ``dict(m)`` would call ``__getitem__``
+        per key."""
+        d = self._d
+        return d.copy() if type(d) is dict else d.to_dict()
 
     def __getitem__(self, key):
         return self._d[key]
@@ -161,7 +216,7 @@ class FrozenMap(Mapping):
     def __len__(self) -> int:
         return len(self._d)
 
-    # The dict's own views are read-only and iterate in C; the Mapping
+    # The views are read-only and set-like, and iterate in C; the Mapping
     # defaults would call __iter__ and __getitem__ once per item.
     def items(self):
         return self._d.items()
@@ -184,24 +239,29 @@ class FrozenMap(Mapping):
 
     @cached_repr
     def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{k!r}: {self._d[k]!r}" for k in sorted(self._d, key=repr)
-        )
-        return "{" + inner + "}"
+        d = self._d
+        pairs = sorted(zip(map(repr, d.keys()), d.values()), key=_first)
+        return "{" + ", ".join(f"{r}: {v!r}" for r, v in pairs) + "}"
 
     def set(self, key, value) -> "FrozenMap":
-        d = dict(self._d)
+        d = self._d
         h = self._hash
         if h is not None:
             old = d.get(key, _ABSENT)
             if old is not _ABSENT:
                 h -= hash((key, old))
             h += hash((key, value))
-        d[key] = value
-        return FrozenMap._adopt(d, h)
+        if type(d) is dict:
+            d = dict(d)
+            d[key] = value
+            if len(d) > TRIE_THRESHOLD:
+                d = _Trie.build(d)
+        else:
+            d = d.set(key, value)
+        return FrozenMap._wrap(d, h)
 
     def update(self, items) -> "FrozenMap":
-        d = dict(self._d)
+        d = self._copy()
         d.update(items)
         return FrozenMap._adopt(d)
 
@@ -212,6 +272,188 @@ class FrozenMap(Mapping):
     def restrict(self, keys) -> "FrozenMap":
         keep = set(keys)
         return FrozenMap._adopt({k: v for k, v in self._d.items() if k in keep})
+
+
+class _Trie:
+    """The entries of a ``FrozenMap`` above ``TRIE_THRESHOLD``: the root
+    node, the number of entries, and whether no two keys share a hash.
+
+    A leaf maps ``hash(key)`` to the entry ``(key, value)``, or to a dict
+    from key to value of the keys that share that hash, so a lookup calls the
+    key's ``__hash__`` once and its ``__eq__`` only when it is not the
+    stored key itself.  It answers the reads a dict does (``get``, ``in``,
+    ``[]``, ``len``, iteration, the three views and ``==``); ``set``
+    returns a new trie that shares every node off the written key's path."""
+
+    __slots__ = ("_root", "_len", "_plain")
+
+    def __init__(self, root: tuple | dict, n: int, plain: bool):
+        self._root = root
+        self._len = n
+        self._plain = plain
+
+    @classmethod
+    def build(cls, d: dict) -> "_Trie":
+        leaf = {}
+        for k, v in d.items():
+            h = hash(k)
+            e = leaf.get(h)
+            leaf[h] = (k, v) if e is None else _collide(e, k, v)
+        return cls(_split(leaf, 0), len(d), len(leaf) == len(d))
+
+    def get(self, key, default=None):
+        h = hash(key)
+        node = self._root
+        bits = h
+        while type(node) is tuple:
+            node = node[bits & _MASK]
+            bits >>= TRIE_BITS
+        e = node.get(h)
+        if e is None:
+            return default
+        if type(e) is tuple:
+            k = e[0]
+            return e[1] if k is key or k == key else default
+        return e.get(key, default)
+
+    def __getitem__(self, key):
+        v = self.get(key, _ABSENT)
+        if v is _ABSENT:
+            raise KeyError(key)
+        return v
+
+    def __contains__(self, key) -> bool:
+        return self.get(key, _ABSENT) is not _ABSENT
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _entries(self) -> Iterator[tuple]:
+        """Every ``(key, value)``, in trie order; in C unless two keys
+        share a hash.  (Iterating a 121-entry trie in C takes a third of
+        the time of the generator below, and makes
+        ``aam ceskt --fuel 300 --format json`` on Omega a tenth faster; see
+        BENCH_14.json.)"""
+        entries = chain.from_iterable(map(dict.values, _leaves((self._root,))))
+        if self._plain:
+            return entries
+        return chain.from_iterable((e,) if type(e) is tuple else e.items() for e in entries)
+
+    def __iter__(self):
+        return map(_first, self._entries())
+
+    def items(self):
+        return _TrieItems(self)
+
+    def keys(self):
+        return _TrieKeys(self)
+
+    def values(self):
+        return _TrieValues(self)
+
+    def to_dict(self) -> dict:
+        return dict(self._entries())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _Trie):
+            return NotImplemented
+        return self._len == other._len and _same_nodes(self._root, other._root)
+
+    def set(self, key, value) -> "_Trie":
+        h = hash(key)
+        path = []
+        node = self._root
+        bits = h
+        while type(node) is tuple:
+            i = bits & _MASK
+            path.append((node, i))
+            node = node[i]
+            bits >>= TRIE_BITS
+        leaf = dict(node)
+        e = leaf.get(h)
+        n = self._len
+        if e is None:
+            leaf[h] = (key, value)
+            n += 1
+        elif type(e) is tuple and (e[0] is key or e[0] == key):
+            leaf[h] = (e[0], value)  # a dict, too, keeps the key it has
+        else:
+            leaf[h] = new = _collide(e, key, value)
+            n += len(new) - (1 if type(e) is tuple else len(e))
+        node = _split(leaf, TRIE_BITS * len(path)) if len(leaf) > TRIE_THRESHOLD else leaf
+        for parent, i in reversed(path):
+            children = list(parent)
+            children[i] = node
+            node = tuple(children)
+        return _Trie(node, n, self._plain and type(leaf[h]) is tuple)
+
+
+_first = itemgetter(0)
+_second = itemgetter(1)
+
+
+def _collide(e, key, value) -> dict:
+    """The entry or collision ``e`` with ``key`` (of the same hash) set."""
+    c = dict([e]) if type(e) is tuple else dict(e)
+    c[key] = value
+    return c
+
+
+def _split(leaf: dict, shift: int):
+    """The canonical node for a leaf's entries, whose hashes agree below
+    bit ``shift``: the leaf itself if it holds few, else a branch on the
+    next ``TRIE_BITS`` bits.  Distinct hashes part before the bits run
+    out; keys of one hash share a single entry, so it always ends."""
+    if len(leaf) <= TRIE_THRESHOLD:
+        return leaf
+    buckets = [{} for _ in range(_FANOUT)]
+    for h, e in leaf.items():
+        buckets[(h >> shift) & _MASK][h] = e
+    deeper = shift + TRIE_BITS
+    return tuple(_split(b, deeper) if b else _EMPTY_LEAF for b in buckets)
+
+
+def _leaves(branch: tuple) -> Iterator[dict]:
+    """Every non-empty leaf under a branch, in trie order.  (The root is
+    a leaf when its keys have few distinct hashes; ``(root,)`` is a
+    branch above it.)"""
+    for child in branch:
+        if type(child) is tuple:
+            yield from _leaves(child)
+        elif child:
+            yield child
+
+
+def _same_nodes(a, b) -> bool:
+    """Equality of two nodes at one hash prefix.  Equal key sets have equal
+    shapes, so nodes of different kinds differ; a shared subtree is equal
+    without a look inside."""
+    if a is b:
+        return True
+    if type(a) is dict or type(b) is dict:
+        return a == b
+    return all(map(_same_nodes, a, b))
+
+
+class _TrieKeys(KeysView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping)
+
+
+class _TrieItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._entries()
+
+
+class _TrieValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return map(_second, self._mapping._entries())
 
 
 EMPTY_MAP = FrozenMap()
@@ -384,7 +626,7 @@ def astore_join(a: FrozenMap, b: FrozenMap) -> FrozenMap:
     """Pointwise union; the least upper bound of two abstract stores."""
     if len(a) < len(b):
         a, b = b, a
-    d = dict(a)
+    d = a._copy()
     for addr, vals in b.items():
         got = d.get(addr)
         d[addr] = vals if got is None else got | vals

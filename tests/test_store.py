@@ -1,12 +1,29 @@
-"""Maps, times, addresses, and the abstract-store lattice."""
+"""Maps, times, addresses, and the abstract-store lattice.
+
+The hash-trie checks at the end (a differential test against a plain dict,
+one shape per key set, and structure shared along a trace) also run
+without pytest, on any supported Python:
+
+    PYTHONPATH=src python tests/test_store.py --check
+
+It exits 1 and names the failed checks if any fails.
+"""
 
 from __future__ import annotations
 
 import random
+import sys
+import traceback
 
-import pytest
+try:
+    import pytest
+except ImportError:  # ``--check`` runs the module-level checks without it
+    pytest = None
 
+from aam.machines import run_trace
 from aam.store import (
+    CONCRETE_STORE,
+    TRIE_THRESHOLD,
     BindA,
     Contour,
     EMPTY_ASTORE,
@@ -28,6 +45,7 @@ from aam.store import (
     store_get,
     time_strictly_precedes,
 )
+from aam.syntax import parse
 
 
 class TestFrozenMap:
@@ -94,6 +112,21 @@ class TestFrozenMap:
         assert m.items() == d.items() and list(m.items()) == list(d.items())
         assert m.keys() == d.keys() and list(m.keys()) == list(d.keys())
         assert list(m.values()) == list(d.values())
+        assert (FreshA(0), "c") in m.items() and (FreshA(0), "z") not in m.items()
+        assert not hasattr(m.items(), "__setitem__") and not hasattr(m.keys(), "add")
+        assert hash(m) == h and repr(m) == r and m == FrozenMap(d)
+        # Above the threshold the map is a trie, which iterates in its own
+        # order: the views agree with the dict as sets and with each other
+        # in order.
+        pairs += [(BindA("y", Tick(i)), i) for i in range(3 * TRIE_THRESHOLD)]
+        m, d = FrozenMap(pairs), dict(pairs)
+        h, r = hash(m), repr(m)
+        assert m.items() == d.items() and d.items() == m.items() and len(m.items()) == len(d)
+        assert m.keys() == d.keys() and d.keys() == m.keys() and len(m.keys()) == len(d)
+        assert list(m.keys()) == [k for k, _ in m.items()] == list(m)
+        assert list(m.values()) == [v for _, v in m.items()]
+        assert sorted(map(repr, m.values())) == sorted(map(repr, d.values()))
+        assert m.keys() & {FreshA(0), FreshA(1)} == {FreshA(0)}
         assert (FreshA(0), "c") in m.items() and (FreshA(0), "z") not in m.items()
         assert not hasattr(m.items(), "__setitem__") and not hasattr(m.keys(), "add")
         assert hash(m) == h and repr(m) == r and m == FrozenMap(d)
@@ -236,3 +269,221 @@ class TestLatticeLaws:
             ub = astore_join(j, _random_astore(rng))
             assert astore_leq(a, ub) and astore_leq(b, ub)
             assert astore_leq(j, ub)
+
+
+# ---------------------------------------------------------------------------
+# Maps above the threshold: the hash trie
+# ---------------------------------------------------------------------------
+
+
+class Hashed:
+    """A key with a chosen hash."""
+
+    __slots__ = ("name", "h")
+
+    def __init__(self, name: str, h: int):
+        self.name, self.h = name, h
+
+    def __hash__(self) -> int:
+        return self.h
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Hashed) and other.name == self.name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+# Keys of every hash shape, each with its own repr: small and large
+# negative hashes (-1 and -2 hash alike), string hashes that change with
+# the hash seed, more keys of one hash than a leaf holds, more distinct
+# hashes than a leaf holds that agree on their low 56 bits (so the trie is
+# twelve branches deep there), and the addresses a concrete store holds.
+KEYS = (
+    [-i for i in range(1, 120)]
+    + [-(10**15) - i for i in range(40)]
+    + [f"s{i}" for i in range(60)]
+    + [Hashed(f"C{i}", -0x5EED) for i in range(TRIE_THRESHOLD + 20)]
+    + [Hashed(f"D{i}", (i - 100) << 56) for i in range(TRIE_THRESHOLD + 72)]
+    + [FreshA(i) for i in range(120)]
+)
+_MISSING = object()
+
+
+def _top_of(d: dict) -> int:
+    return max((k.n for k in d if isinstance(k, FreshA)), default=-1)
+
+
+def check_against_dict(m: FrozenMap, d: dict, rng: random.Random) -> None:
+    """Every read of ``m`` agrees with the dict ``d``."""
+    assert len(m) == len(d)
+    for k in d:
+        assert k in m and m[k] == d[k] and m.get(k) == d[k]
+    for k in rng.sample(KEYS, 20):
+        assert (k in m) == (k in d)
+        assert m.get(k, _MISSING) == d.get(k, _MISSING)
+    assert sorted(map(repr, m)) == sorted(map(repr, d))
+    assert m.items() == d.items() and m.keys() == d.keys()
+    assert list(m.keys()) == [k for k, _ in m.items()] == list(m)
+    assert list(m.values()) == [v for _, v in m.items()]
+    rebuilt = FrozenMap(d)
+    assert m == rebuilt and rebuilt == m
+    if d:
+        k = rng.choice(list(d))
+        assert m != FrozenMap({**d, k: ("other", d[k])})
+    want = "{" + ", ".join(f"{k!r}: {d[k]!r}" for k in sorted(d, key=repr)) + "}"
+    assert repr(m) == repr(rebuilt) == want
+    if rng.random() < 0.5:  # the next set then derives its hash
+        assert hash(m) == hash(rebuilt)
+    if m._top is not None:
+        assert m._top == _top_of(d)
+
+
+def test_the_trie_reads_like_a_dict_under_random_updates():
+    """Seeded random ``set``/``update``/``without``/``restrict`` runs that
+    cross the threshold both ways, checked against a plain dict after
+    every operation; each earlier map must still read as it did."""
+    crossings = 0
+    for seed in range(3):
+        rng = random.Random(seed)
+        m, d = EMPTY_MAP, {}
+        history = []
+        for i in range(600):
+            # Phases of 150 operations: mostly growing, then mostly shrinking.
+            op = rng.random() * (0.8 if i // 150 % 2 == 0 else 1.6)
+            if op < 0.7:
+                k, v = rng.choice(KEYS), rng.randrange(4)
+                if rng.random() < 0.5:
+                    m2 = m.set(k, v)
+                else:
+                    if rng.random() < 0.3:
+                        fresh_addr(m)  # learn the high-water mark, carried from here on
+                    m2 = CONCRETE_STORE.update(m, k, v)
+                d2 = {**d, k: v}
+            elif op < 0.8:
+                more = {rng.choice(KEYS): rng.randrange(4) for _ in range(rng.randrange(1, 30))}
+                m2, d2 = m.update(more), {**d, **more}
+            elif op < 1.2:
+                drop = rng.sample(list(d), len(d) // rng.randint(2, 8)) + rng.sample(KEYS, 3)
+                m2 = m.without(drop)
+                d2 = {k: v for k, v in d.items() if k not in drop}
+            else:
+                keep = rng.sample(list(d), len(d) * rng.randint(5, 9) // 10) + rng.sample(KEYS, 3)
+                m2 = m.restrict(keep)
+                d2 = {k: v for k, v in d.items() if k in keep}
+            check_against_dict(m2, d2, rng)
+            crossings += (len(d) > TRIE_THRESHOLD) != (len(d2) > TRIE_THRESHOLD)
+            history.append((m, d))
+            m, d = m2, d2
+        for old, old_d in rng.sample(history, 20):
+            check_against_dict(old, old_d, rng)
+    assert crossings >= 6, crossings
+
+
+def test_keys_of_one_hash_written_into_a_trie():
+    """A trie with no shared hash, then keys that share one, one by one,
+    and a key of them overwritten."""
+    rng = random.Random(5)
+    d = {FreshA(i): i for i in range(TRIE_THRESHOLD + 1)}
+    m = FrozenMap(d)
+    for i in range(4):
+        k = Hashed(f"C{i}", -0x5EED)
+        m, d = m.set(k, i), {**d, k: i}
+        check_against_dict(m, d, rng)
+    k = Hashed("C0", -0x5EED)
+    m, d = m.set(k, "again"), {**d, k: "again"}
+    check_against_dict(m, d, rng)
+
+
+def _shape(m: FrozenMap):
+    """The map's node structure: the hashes each leaf holds, the children
+    of each branch."""
+
+    def shape(node):
+        if type(node) is dict:
+            return frozenset(node)
+        return tuple(map(shape, node))
+
+    return shape(getattr(m._d, "_root", m._d))
+
+
+def test_one_key_set_has_one_shape_however_it_was_built():
+    rng = random.Random(11)
+    d = {k: i % 5 for i, k in enumerate(KEYS)}
+    extra = {f"extra{i}": i for i in range(TRIE_THRESHOLD)}
+    shuffled = list(d.items())
+    rng.shuffle(shuffled)
+    by_set = EMPTY_MAP
+    for k, v in shuffled:
+        by_set = by_set.set(k, v)
+    by_update = FrozenMap(shuffled[:TRIE_THRESHOLD + 1])
+    for i in range(TRIE_THRESHOLD + 1, len(shuffled), 37):
+        by_update = by_update.update(dict(shuffled[i:i + 37]))
+    maps = [
+        FrozenMap(d),
+        FrozenMap(reversed(shuffled)),
+        by_set,
+        by_update,
+        FrozenMap({**d, **extra}).without(extra),
+        FrozenMap({**d, **extra}).restrict(d),
+        by_set.set(KEYS[0], "changed").set(KEYS[0], d[KEYS[0]]),
+    ]
+    first = maps[0]
+    for m in maps:
+        assert _shape(m) == _shape(first)
+        assert m == first and hash(m) == hash(first) and repr(m) == repr(first)
+        check_against_dict(m, d, rng)  # reads at full depth, and of one hash
+    small = first.restrict(KEYS[:TRIE_THRESHOLD])
+    assert type(small._d) is dict and small == FrozenMap({k: d[k] for k in KEYS[:TRIE_THRESHOLD]})
+
+
+OMEGA = parse("((lambda (x) (x x)) (lambda (x) (x x)))")
+
+
+def _nodes(m: FrozenMap):
+    root = getattr(m._d, "_root", m._d)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if type(node) is tuple:
+            stack.extend(node)
+
+
+def _depth(node) -> int:
+    return 0 if type(node) is dict else 1 + max(map(_depth, node))
+
+
+def test_consecutive_stores_of_a_trace_share_all_but_one_path():
+    """Past the threshold, a write makes one new leaf and copies only the
+    branches above it; every other node is the parent store's own.  A
+    write that splits a leaf makes new leaves holding one more entry than
+    the threshold."""
+    trace = run_trace("ceskstar", OMEGA, 600)
+    stores = [s.store for s in trace.states]
+    pairs = [(a, b) for a, b in zip(stores, stores[1:]) if len(a) > TRIE_THRESHOLD]
+    assert len(pairs) > 100
+    for a, b in pairs:
+        old = {id(n) for n in _nodes(a)}
+        new = [n for n in _nodes(b) if id(n) not in old]
+        assert sum(len(n) for n in new if type(n) is dict) <= TRIE_THRESHOLD + 1
+        split = sum(type(n) is tuple for n in _nodes(b)) > sum(type(n) is tuple for n in _nodes(a))
+        if not split:
+            assert len(new) <= _depth(getattr(b._d, "_root", b._d)) + 1
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--check"]:
+        raise SystemExit(__doc__)
+    failed = []
+    for name, test in list(globals().items()):
+        if name.startswith("test_") and callable(test):
+            try:
+                test()
+            except Exception:
+                failed.append(name)
+                traceback.print_exc()
+    if failed:
+        print(f"{len(failed)} checks failed: {', '.join(failed)}", file=sys.stderr)
+        raise SystemExit(1)
+    print("store: every check passed")
