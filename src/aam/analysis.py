@@ -225,7 +225,9 @@ def widened_fixpoint(initial, successors) -> WidenedSystem:
     context against the global store, joins all produced stores, and adds
     the injected context; ``iterations`` counts the strictly-growing
     rounds.  The last round changes nothing, so the steps it took are the
-    system's edges."""
+    system's edges.  A step that wrote nothing new returns the round's
+    store itself (see ``store.astore_add``), which the round's join already
+    holds, so it is not joined again."""
     contexts: set = set()
     store = EMPTY_ASTORE
     inj = strip_store(initial)
@@ -239,7 +241,8 @@ def widened_fixpoint(initial, successors) -> WidenedSystem:
                 succ = strip_store(t)
                 new_contexts.add(succ)
                 edges.append((ctx, succ))
-                new_store = astore_join(new_store, t.store)
+                if t.store is not store:
+                    new_store = astore_join(new_store, t.store)
         new_contexts.add(inj)
         if new_contexts == contexts and new_store == store:
             return WidenedSystem(frozenset(contexts), store, iterations, frozenset(edges))

@@ -10,7 +10,12 @@ copy of its whole store.
 Concrete stores are exact finite maps (an allocation must be fresh, a
 rebind overwrites).  Abstract stores map addresses to non-empty sets of
 storables; absent addresses mean bottom, update means join, and lookup of
-an absent address yields the empty set.
+an absent address yields the empty set.  An abstract write or join that
+adds nothing returns the map it was given, not an equal copy, so a
+successor whose store did not grow shares its parent's store object, and
+callers may test ``is`` where they would otherwise compare whole stores
+(Johnson, Labich, Might & Van Horn, *Optimizing Abstract Abstract
+Machines*, 2013: pay only for stores that change).
 
 Address families:
 
@@ -614,20 +619,41 @@ def astore_get(store: FrozenMap, addr: Addr) -> frozenset:
 
 
 def astore_add(store: FrozenMap, addr: Addr, values) -> FrozenMap:
-    """Join a set of storables into one address."""
+    """Join a set of storables into one address.  When the address already
+    holds every one of them, the result is ``store`` itself."""
     vals = frozenset(values)
     if not vals:
         raise StoreError("refusing to store an empty set (absent means bottom)")
-    merged = astore_get(store, addr) | vals
-    return store.set(addr, merged)
+    got = store.get(addr)
+    if got is None:
+        return store.set(addr, vals)
+    if vals <= got:
+        return store
+    return store.set(addr, got | vals)
 
 
 def astore_join(a: FrozenMap, b: FrozenMap) -> FrozenMap:
-    """Pointwise union; the least upper bound of two abstract stores."""
+    """Pointwise union; the least upper bound of two abstract stores.
+
+    The larger operand (``a`` when both are of one size) is the base.  When
+    the other adds nothing to it (the two are one map, or the base already
+    holds every storable of the other), the result is the base itself.
+    Otherwise the base is copied once, at the first entry of the other that
+    adds to it; storables are compared only at addresses both maps hold."""
     if len(a) < len(b):
         a, b = b, a
+    if a is b:
+        return a
+    entries = iter(b.items())
+    for addr, vals in entries:
+        got = a.get(addr)
+        if got is None or not (got is vals or vals <= got):
+            break
+    else:
+        return a
     d = a._copy()
-    for addr, vals in b.items():
+    d[addr] = vals if got is None else got | vals
+    for addr, vals in entries:
         got = d.get(addr)
         d[addr] = vals if got is None else got | vals
     return FrozenMap._adopt(d)
@@ -707,7 +733,9 @@ class ConcreteStore:
 class AbstractStore:
     """Stores of storable sets.  A fetch fans out over every storable of
     the expected kind in ``sort_key`` order; allocation and update both
-    join; ticks are unchecked; a state no rule matches has no successors."""
+    join; ticks are unchecked; a state no rule matches has no successors.
+    A write of a storable the address already holds returns the store it
+    was given, so such a successor shares its parent's store object."""
 
     def fetch(self, store: FrozenMap, addr: Addr, kind, what: str) -> list:
         return [v for v in sorted(astore_get(store, addr), key=sort_key) if isinstance(v, kind)]

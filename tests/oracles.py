@@ -14,7 +14,7 @@ from dataclasses import fields, is_dataclass
 
 from aam.inspection import DENY, GRANT, MtM
 from aam.machines import Ar, CEKState, Closure, Fn, Kont, Mt, MT
-from aam.store import Addr, FrozenMap, astore_get, sort_key
+from aam.store import AbstractStore, Addr, FrozenMap, astore_get, sort_key
 from aam.syntax import App, Exp, Lam, Ref, iter_nodes
 
 
@@ -355,12 +355,43 @@ def pd_node_covered(image, nodes) -> bool:
     )
 
 
+# ---------------------------------------------------------------------------
+# Abstract stores that copy on every write and join
+# ---------------------------------------------------------------------------
+
+
+def copying_astore_add(store: FrozenMap, addr, values) -> FrozenMap:
+    """Join storables into one address, always as a new map."""
+    return FrozenMap({**store, addr: store.get(addr, frozenset()) | frozenset(values)})
+
+
+def copying_astore_join(a: FrozenMap, b: FrozenMap) -> FrozenMap:
+    """The pointwise union, always as a new map."""
+    d = dict(a.items())
+    for addr, vals in b.items():
+        d[addr] = d.get(addr, frozenset()) | vals
+    return FrozenMap(d)
+
+
+class CopyingStore(AbstractStore):
+    """The abstract store semantics with every write building a new map,
+    even one that adds nothing."""
+
+    def alloc(self, store: FrozenMap, addr, value) -> FrozenMap:
+        return copying_astore_add(store, addr, (value,))
+
+    update = alloc
+
+
 __all__ = [
+    "CopyingStore",
     "OracleFuelError",
     "alpha_equal",
     "alpha_simulated",
     "cbv_normalize",
     "cek_value_term",
+    "copying_astore_add",
+    "copying_astore_join",
     "debruijn",
     "free_vars_oracle",
     "kont_paths",

@@ -1,5 +1,5 @@
-"""Abstract exploration, the truncation map, widening, and the
-monovariant machine."""
+"""Abstract exploration, the truncation map, widening, the monovariant
+machine, and the sharing of stores that a step or a join leaves unchanged."""
 
 from __future__ import annotations
 
@@ -7,8 +7,9 @@ import dataclasses
 
 import pytest
 
-from corpus import divergent_corpus, terminating_corpus
-from oracles import alpha_simulated, mini_0cfa
+from corpus import UNIVERSE, divergent_corpus, extended_corpus, security_corpus, terminating_corpus
+from oracles import CopyingStore, alpha_simulated, copying_astore_join, mini_0cfa
+from aam import analysis
 from aam.analysis import (
     KCFAPolicy,
     abstraction_map,
@@ -20,6 +21,7 @@ from aam.analysis import (
     analyze_widened_0cfa,
     explore,
     explore_0cfa,
+    explore_states,
     inject_abstract,
     is_final_abstract,
     monovariant_iteration_bound,
@@ -28,11 +30,19 @@ from aam.analysis import (
     strip_store,
     widened_fixpoint,
 )
-from aam.extended import inject_aext, step_extended_abstract
-from aam.inspection import inject_acm, step_cm_abstract
-from aam.lazy import inject_alk, step_lk_star_abstract
-from aam.machines import TIME_KEYED_POLICY, Closure, run_trace
+from aam.extended import EXTENDED, inject_aext, step_extended_abstract
+from aam.inspection import SECURITY, inject_acm, step_cm_abstract
+from aam.lazy import LAZY, VARIANTS, inject_alk, step_lk_star_abstract
+from aam.machines import CORE, TIME_KEYED_POLICY, Closure, run_trace
+from aam.pushdown import (
+    PUSHDOWN_MONO,
+    PUSHDOWN_VALUE,
+    reachable_pushdown,
+    reachable_pushdown_widened,
+    step_pushdown,
+)
 from aam.store import (
+    ABSTRACT_STORE,
     BindA,
     Contour,
     FreshA,
@@ -313,3 +323,91 @@ class TestStateOrder:
         a, b = g.states[0], g.states[1]
         assert not state_leq(a, b)
         assert not state_leq(b, a)
+
+
+# ---------------------------------------------------------------------------
+# Stores a step or a join leaves unchanged are shared, not copied
+# ---------------------------------------------------------------------------
+
+# (language, k, language argument) of every abstract machine with
+# per-state stores.
+SHARING_MACHINES = {
+    "kcfa0": (CORE, 0, None),
+    "kcfa1": (CORE, 1, None),
+    **{f"alk-{v}": (LAZY, 0, v) for v in VARIANTS},
+    "aext": (EXTENDED, 0, None),
+    "acm": (SECURITY, 0, UNIVERSE),
+}
+OWN_CORPUS = {"aext": extended_corpus, "acm": security_corpus}
+
+
+def _programs(machine: str) -> list:
+    own = OWN_CORPUS.get(machine)
+    return terminating_corpus() + divergent_corpus() + (own() if own else [])
+
+
+def _search(machine: str, e, sem, widened: bool = False):
+    lang, k, arg = SHARING_MACHINES[machine]
+    policy = KCFAPolicy(k)
+    initial = lang.inject(e, arg, policy.t0)
+    successors = lambda s: lang.rules(s, sem, policy, arg)
+    if widened:
+        return widened_fixpoint(initial, successors)
+    return explore_states(initial, successors, lang.final)
+
+
+class TestStoreSharing:
+    @pytest.mark.parametrize("machine", sorted(SHARING_MACHINES))
+    def test_a_step_that_writes_nothing_new_keeps_its_store(self, machine):
+        """For every state of the graph and every successor, an equal store
+        is the same object."""
+        lang, k, arg = SHARING_MACHINES[machine]
+        policy = KCFAPolicy(k)
+        shared = 0
+
+        def successors(s):
+            nonlocal shared
+            succs = lang.rules(s, ABSTRACT_STORE, policy, arg)
+            for t in succs:
+                if t.store is s.store:
+                    shared += 1
+                else:
+                    assert t.store != s.store, (machine, s)
+            return succs
+
+        for e in _programs(machine):
+            explore_states(lang.inject(e, arg, policy.t0), successors, lang.final)
+        assert shared
+
+    def test_a_pushdown_bind_already_made_keeps_its_store(self):
+        """A pop whose closure the bound address already holds keeps its
+        node's store object, per node and against the widened store."""
+        rebinds = 0
+        for e in terminating_corpus() + divergent_corpus():
+            for policy in (PUSHDOWN_MONO, PUSHDOWN_VALUE):
+                graphs = (reachable_pushdown(e, policy), reachable_pushdown_widened(e, policy).graph)
+                for n in {n for g in graphs for n in g.nodes}:
+                    store = n.control.store
+                    for ctrl2, action, _frame in step_pushdown(n.control, n.top, policy):
+                        if action == "pop" and ctrl2.store == store:
+                            assert ctrl2.store is store, unparse(e)
+                            rebinds += 1
+        assert rebinds
+
+    @pytest.mark.parametrize("machine", sorted(SHARING_MACHINES))
+    def test_sharing_leaves_the_graphs_and_widened_systems_unchanged(self, machine, monkeypatch):
+        """Against stores that copy on every write and join: the same
+        states in the same order, edges and finals, and the same widened
+        contexts, store, iterations and edges."""
+        programs = terminating_corpus() + divergent_corpus()
+        graphs = [_search(machine, e, ABSTRACT_STORE) for e in _programs(machine)]
+        systems = [_search(machine, e, ABSTRACT_STORE, widened=True) for e in programs]
+        monkeypatch.setattr(analysis, "astore_join", copying_astore_join)
+        copying = CopyingStore()
+        for e, g in zip(_programs(machine), graphs):
+            ref = _search(machine, e, copying)
+            assert (g.states, g.edges, g.finals) == (ref.states, ref.edges, ref.finals), unparse(e)
+        for e, w in zip(programs, systems):
+            ref = _search(machine, e, copying, widened=True)
+            assert (w.contexts, w.store, w.iterations, w.edges) == (
+                ref.contexts, ref.store, ref.iterations, ref.edges), unparse(e)

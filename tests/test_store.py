@@ -1,8 +1,9 @@
 """Maps, times, addresses, and the abstract-store lattice.
 
-The hash-trie checks at the end (a differential test against a plain dict,
-one shape per key set, and structure shared along a trace) also run
-without pytest, on any supported Python:
+The module-level checks (abstract writes and joins that add nothing return
+the map they were given; then the hash trie: a differential test against a
+plain dict, one shape per key set, and structure shared along a trace)
+also run without pytest, on any supported Python:
 
     PYTHONPATH=src python tests/test_store.py --check
 
@@ -22,6 +23,7 @@ except ImportError:  # ``--check`` runs the module-level checks without it
 
 from aam.machines import run_trace
 from aam.store import (
+    ABSTRACT_STORE,
     CONCRETE_STORE,
     TRIE_THRESHOLD,
     BindA,
@@ -46,6 +48,7 @@ from aam.store import (
     time_strictly_precedes,
 )
 from aam.syntax import parse
+from oracles import copying_astore_add, copying_astore_join
 
 
 class TestFrozenMap:
@@ -269,6 +272,113 @@ class TestLatticeLaws:
             ub = astore_join(j, _random_astore(rng))
             assert astore_leq(a, ub) and astore_leq(b, ub)
             assert astore_leq(j, ub)
+
+
+# ---------------------------------------------------------------------------
+# Abstract writes and joins that add nothing return the map they were given
+# ---------------------------------------------------------------------------
+
+
+def _raises_store_error(f, *args) -> bool:
+    try:
+        f(*args)
+    except StoreError:
+        return True
+    return False
+
+
+def test_astore_add_returns_its_store_when_every_storable_is_present():
+    x, y = MonoBindA("x"), MonoBindA("y")
+    small = FrozenMap({x: frozenset({"a", "b"})})
+    # Above the threshold the store is a trie; the same holds there.
+    large = small.update({MonoKontA(i): frozenset({i}) for i in range(2 * TRIE_THRESHOLD)})
+    for store in (small, large):
+        hash(store)  # a later write derives its hash from this one
+        for vals in (["a"], ["b", "a"], ("a", "a"), frozenset({"b"})):
+            assert astore_add(store, x, vals) is store
+        assert ABSTRACT_STORE.alloc(store, x, "a") is store
+        assert ABSTRACT_STORE.update(store, x, "b") is store
+        for addr, vals in ((x, ["c"]), (x, ["a", "c"]), (y, ["a"])):
+            got = astore_add(store, addr, vals)
+            want = copying_astore_add(store, addr, vals)
+            assert got is not store and got == want and hash(got) == hash(want)
+            assert astore_get(store, x) == frozenset({"a", "b"}) and y not in store
+        grown = ABSTRACT_STORE.alloc(store, y, "c")
+        assert grown is not store and grown == copying_astore_add(store, y, ["c"])
+        assert _raises_store_error(astore_add, store, x, [])
+        assert _raises_store_error(astore_add, store, y, ())
+    assert _raises_store_error(astore_add, EMPTY_ASTORE, x, [])
+
+
+def test_astore_join_returns_the_larger_operand_when_nothing_is_added():
+    x, y, z = MonoBindA("x"), MonoBindA("y"), MonoBindA("z")
+    big = FrozenMap({x: frozenset({"a", "b"}), y: frozenset({"c"})})
+    contained = (
+        EMPTY_ASTORE,
+        FrozenMap({x: frozenset({"a"})}),
+        FrozenMap({y: frozenset({"c"})}),
+        FrozenMap({x: frozenset({"a", "b"})}),
+    )
+    assert astore_join(big, big) is big
+    for other in contained:
+        assert astore_join(big, other) is big
+        assert astore_join(other, big) is big
+    # An equal map that is another object adds nothing: the result is the
+    # first operand, the larger one when two are of one size.
+    twin = FrozenMap(dict(big.items()))
+    assert astore_join(big, twin) is big and astore_join(twin, big) is twin
+    for other in (
+        FrozenMap({z: frozenset({"a"})}),
+        FrozenMap({x: frozenset({"d"})}),
+        FrozenMap({x: frozenset({"a"}), y: frozenset({"c", "d"})}),
+        FrozenMap({x: frozenset({"a"}), y: frozenset({"c"}), z: frozenset({"e"})}),
+    ):
+        for a, b in ((big, other), (other, big)):
+            j = astore_join(a, b)
+            want = copying_astore_join(a, b)
+            assert j is not a and j is not b
+            assert j == want and hash(j) == hash(want)
+    assert dict(big.items()) == {x: frozenset({"a", "b"}), y: frozenset({"c"})}
+
+
+def _below(rng: random.Random, store: FrozenMap) -> FrozenMap:
+    """A random store the given one contains."""
+    d = {}
+    for addr, vals in store.items():
+        if rng.random() < 0.6:
+            d[addr] = frozenset(rng.sample(sorted(vals), rng.randint(1, len(vals))))
+    return FrozenMap(d)
+
+
+def test_astore_join_matches_acopying_astore_join():
+    """Seeded sweep: the join equals the copying reference, hashes alike,
+    and is one of its operands exactly when that operand, the larger (the
+    first when both are of one size), already held everything."""
+    rng = random.Random(2013)
+    shared = 0
+    for _ in range(600):
+        a = _random_astore(rng)
+        pick = rng.random()
+        if pick < 0.3:
+            b = _random_astore(rng)
+        elif pick < 0.7:
+            b = _below(rng, a)
+        elif pick < 0.85:
+            b = a
+        else:
+            b = FrozenMap(dict(a.items()))
+        if rng.random() < 0.5:
+            a, b = b, a
+        want = copying_astore_join(a, b)
+        j = astore_join(a, b)
+        assert j == want and hash(j) == hash(want)
+        larger = b if len(a) < len(b) else a
+        if want == larger:
+            assert j is larger
+            shared += 1
+        else:
+            assert j is not a and j is not b
+    assert 200 < shared < 600, shared
 
 
 # ---------------------------------------------------------------------------
