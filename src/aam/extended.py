@@ -41,6 +41,7 @@ from .machines import (
     MT,
     Mt,
     StepOutcome,
+    Storable,
     Value,
 )
 from .store import (
@@ -99,7 +100,7 @@ CALLCC = CallccV()
 
 
 class Handler:
-    __slots__ = ()
+    __slots__ = ("_live",)  # the addresses ``gc.live_locations`` keeps
 
 
 @value_class
@@ -122,7 +123,7 @@ MTH = MtH()
 
 
 @value_class
-class HandlerPair:
+class HandlerPair(Storable):
     """Storable snapshot of (handler register, continuation register)."""
 
     handler: Handler

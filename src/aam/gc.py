@@ -18,6 +18,15 @@ the bindings of its free variables in the object's ``env`` field (every
 object that holds syntax also holds the environment closing it); other
 fields are walked in turn.  ``collect`` applies the same walk to a state,
 with its store left out, to find the roots.
+
+An object's liveness depends on its own fields alone, and they never
+change, so a storable computes it once and keeps it in the ``_live`` slot
+of its base (``Value``, ``Kont``, ``Storable``, ``Handler``), the way
+``syntax.free_vars`` keeps a node's free variables.  A linked continuation
+is therefore walked once per frame object, not once per collection.
+Reachability closes by frontiers: each round takes the union of the
+liveness of the addresses first reached in the round before, as C set
+operations over those kept sets.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import fields, replace
 from functools import cache
 from typing import Callable, Iterable
 
-from .store import Addr, Env, FrozenMap, StoreError, astore_get
+from .store import _ABSENT, Addr, Env, FrozenMap, StoreError
 from .syntax import Exp, free_vars
 
 
@@ -45,7 +54,13 @@ def _walked_fields(cls) -> tuple[str, ...]:
 
 def live_locations(v) -> frozenset[Addr]:
     """Addresses directly mentioned by an address, expression, storable,
-    value, frame, handler or (store aside) state."""
+    value, frame, handler or (store aside) state.  An object whose base
+    has a ``_live`` slot computes them once and keeps them there; a state
+    or an address computes them on every call."""
+    try:
+        return v._live
+    except AttributeError:
+        pass
     if isinstance(v, Addr):
         return frozenset((v,))
     try:
@@ -61,7 +76,12 @@ def live_locations(v) -> frozenset[Addr]:
             live |= live_exp(x, v.env)
         elif hasattr(x, "__dataclass_fields__"):
             live |= live_locations(x)
-    return frozenset(live)
+    kept = frozenset(live)
+    try:
+        v._live = kept
+    except AttributeError:  # no slot for it
+        pass
+    return kept
 
 
 def gc_reachable(
@@ -70,25 +90,29 @@ def gc_reachable(
     abstract: bool = False,
     live_fn: Callable = live_locations,
 ) -> frozenset[Addr]:
-    """Transitive closure of liveness through the store.
+    """Transitive closure of liveness through the store, by frontiers:
+    each round adds what the addresses reached in the round before make
+    live and were not reached yet.
 
-    Concrete stores must resolve every reached address; abstract stores may
-    leave an address unmapped (bottom), which contributes nothing.
+    Concrete stores must resolve every reached address, so a concrete
+    live set holds only mapped addresses; abstract stores may leave an
+    address unmapped (bottom), which contributes nothing.
     """
-    reached: set[Addr] = set()
-    work = list(roots)
-    while work:
-        a = work.pop()
-        if a in reached:
-            continue
-        reached.add(a)
-        if abstract:
-            for v in astore_get(store, a):
-                work.extend(live_fn(v))
-        else:
-            if a not in store:
-                raise StoreError(f"live address {a!r} is unmapped")
-            work.extend(live_fn(store[a]))
+    frontier = reached = set(roots)
+    while frontier:
+        found: set[Addr] = set()
+        for a in frontier:
+            v = store.get(a, _ABSENT)
+            if v is _ABSENT:
+                if not abstract:
+                    raise StoreError(f"live address {a!r} is unmapped")
+            elif abstract:
+                for x in v:
+                    found.update(live_fn(x))
+            else:
+                found.update(live_fn(v))
+        frontier = found - reached
+        reached |= frontier
     return frozenset(reached)
 
 
@@ -99,12 +123,16 @@ def _roots(state) -> frozenset[Addr]:
 def collect(state, abstract: bool = False):
     """Restrict the state's store to the addresses reachable from its
     roots.  When every address is live the state itself is returned, so
-    its store keeps its hash and allocation mark."""
-    live = gc_reachable(_roots(state), state.store, abstract)
-    # Not a length test: an abstract live set may name unmapped addresses.
-    if live.issuperset(state.store):
+    its store keeps its hash and allocation mark.
+
+    A concrete live set holds only mapped addresses, so equal lengths mean
+    nothing is dead.  An abstract live set may name unmapped addresses, so
+    abstract collection tests that it covers the store."""
+    store = state.store
+    live = gc_reachable(_roots(state), store, abstract)
+    if (live.issuperset(store) if abstract else len(live) == len(store)):
         return state
-    return replace(state, store=state.store.restrict(live))
+    return replace(state, store=store.restrict(live))
 
 
 def collecting_step(step: Callable) -> Callable:

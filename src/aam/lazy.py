@@ -41,6 +41,7 @@ from .machines import (
     LINKED_POLICY,
     Language,
     StepOutcome,
+    Storable,
     is_final_abstract,
 )
 from .store import (
@@ -59,7 +60,7 @@ VARIANTS = ("standard", "opt", "postponed")
 
 
 @value_class
-class Delayed:
+class Delayed(Storable):
     exp: Exp
     env: Env
 
@@ -68,7 +69,7 @@ class Delayed:
 
 
 @value_class
-class Computed:
+class Computed(Storable):
     lam: Lam
     env: Env
 

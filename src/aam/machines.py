@@ -76,7 +76,9 @@ from .syntax import App, CORE_FORMS, Exp, Lam, Ref, check_closed, check_features
 
 
 class Value:
-    __slots__ = ("_repr",)  # the text ``cached_repr`` keeps
+    # The text ``cached_repr`` keeps, and the addresses ``gc.live_locations``
+    # keeps.
+    __slots__ = ("_repr", "_live")
 
     # Sentinel contour entry used when a machine's control register holds a
     # value with no syntax node (continuations, stored literals).
@@ -98,7 +100,15 @@ class Closure(Value):
 
 
 class Kont:
-    __slots__ = ("_repr",)  # the text ``cached_repr`` keeps
+    __slots__ = ("_repr", "_live")  # as ``Value``'s
+
+
+class Storable:
+    """Base of the storables that are neither values nor frames (thunks,
+    handler snapshots): it holds the addresses ``gc.live_locations``
+    keeps."""
+
+    __slots__ = ("_live",)
 
 
 @value_class

@@ -50,7 +50,8 @@ dataclasses: slotted, hashed and compared over their fields, and immutable
 by convention.  Their bases (``Addr``, ``Time``, and ``Value`` and ``Kont``
 in ``machines``) are plain classes with ``__slots__``; a base whose
 subclasses render through ``cached_repr`` keeps the rendered text in its
-``_repr`` slot.
+``_repr`` slot, and a storable's base keeps the addresses it makes live in
+its ``_live`` slot (see ``gc``).
 """
 
 from __future__ import annotations
@@ -270,12 +271,14 @@ class FrozenMap(Mapping):
         d.update(items)
         return FrozenMap._adopt(d)
 
+    # ``keys`` is used as it is when it is already a set (``gc.collect``
+    # hands ``restrict`` a frozenset).
     def without(self, keys) -> "FrozenMap":
-        drop = set(keys)
+        drop = keys if isinstance(keys, (set, frozenset)) else set(keys)
         return FrozenMap._adopt({k: v for k, v in self._d.items() if k not in drop})
 
     def restrict(self, keys) -> "FrozenMap":
-        keep = set(keys)
+        keep = keys if isinstance(keys, (set, frozenset)) else set(keys)
         return FrozenMap._adopt({k: v for k, v in self._d.items() if k in keep})
 
 
@@ -668,10 +671,20 @@ def astore_leq(a: FrozenMap, b: FrozenMap) -> bool:
 
 
 def sort_key(x: Any) -> str:
-    """Canonical deterministic ordering key for fan-outs and rendering.
+    """Ordering key for fan-outs and rendering: the repr.
 
-    Every domain object has a repr built only from its fields, so the repr
-    string is stable across processes regardless of hash randomization.
+    Every domain object has a repr built only from its fields.  That does
+    not make every repr the same in every process: ``FrozenMap.__repr__``
+    sorts a map's keys, but prints an abstract store's sets of storables in
+    set iteration order, which follows the string hash seed and how each
+    set was built.  So the repr of anything holding an abstract store (a
+    pushdown node, a widened context's store) can differ between runs.
+    Nothing that prints depends on that order: the command line renders
+    every set of storables sorted, and the storables, closures and frames
+    this key orders in a fan-out hold no abstract store.  ``pushdown``
+    orders its worklist by the reprs of nodes, which do hold one, so its
+    node numbering could follow the seed; the command-line goldens,
+    ``pushdown`` among them, hold under ``PYTHONHASHSEED`` 1 to 4.
     """
     return repr(x)
 

@@ -14,8 +14,8 @@ from dataclasses import fields, is_dataclass
 
 from aam.inspection import DENY, GRANT, MtM
 from aam.machines import Ar, CEKState, Closure, Fn, Kont, Mt, MT
-from aam.store import AbstractStore, Addr, FrozenMap, astore_get, sort_key
-from aam.syntax import App, Exp, Lam, Ref, iter_nodes
+from aam.store import AbstractStore, Addr, FrozenMap, StoreError, astore_get, sort_key
+from aam.syntax import App, Exp, Lam, Ref, free_vars, iter_nodes
 
 
 class OracleFuelError(Exception):
@@ -265,6 +265,56 @@ def reflective_addresses(obj) -> frozenset[Addr]:
 
 
 # ---------------------------------------------------------------------------
+# Garbage-collection reachability, worklist formulation
+# ---------------------------------------------------------------------------
+
+
+def reference_live_locations(v) -> frozenset[Addr]:
+    """The addresses an object mentions, recomputed on every call and never
+    read from or written to an object: its address fields, the bindings of
+    its expressions' free variables in its ``env``, and the same of its
+    other dataclass fields in turn (environment, store and time aside).  A
+    linked continuation is walked to its end each time."""
+    if isinstance(v, Addr):
+        return frozenset((v,))
+    if not is_dataclass(v):
+        raise TypeError(f"no liveness rule for {v!r}")
+    live: set[Addr] = set()
+    for f in fields(v):
+        if f.name in ("env", "store", "time"):
+            continue
+        x = getattr(v, f.name)
+        if isinstance(x, Addr):
+            live.add(x)
+        elif isinstance(x, Exp):
+            live.update(v.env[name] for name in free_vars(x))
+        elif is_dataclass(x):
+            live |= reference_live_locations(x)
+    return frozenset(live)
+
+
+def reference_gc_reachable(roots, store: FrozenMap, abstract: bool = False,
+                           live_fn=reference_live_locations) -> frozenset[Addr]:
+    """The closure of liveness through the store, one address at a time
+    from a worklist.  A concrete store must map every reached address."""
+    reached: set[Addr] = set()
+    work = list(roots)
+    while work:
+        a = work.pop()
+        if a in reached:
+            continue
+        reached.add(a)
+        if abstract:
+            for v in astore_get(store, a):
+                work.extend(live_fn(v))
+        else:
+            if a not in store:
+                raise StoreError(f"live address {a!r} is unmapped")
+            work.extend(live_fn(store[a]))
+    return frozenset(reached)
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive path enumeration for the inspection predicates
 # ---------------------------------------------------------------------------
 
@@ -398,6 +448,8 @@ __all__ = [
     "mini_0cfa",
     "ok_path",
     "pd_node_covered",
+    "reference_gc_reachable",
+    "reference_live_locations",
     "reflective_addresses",
     "store_value_term",
     "subst",

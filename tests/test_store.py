@@ -68,8 +68,10 @@ class TestFrozenMap:
     def test_update_without_restrict(self):
         m = FrozenMap({"a": 1, "b": 2, "c": 3})
         assert dict(m.update({"b": 9, "d": 4})) == {"a": 1, "b": 9, "c": 3, "d": 4}
-        assert dict(m.without(["a", "c"])) == {"b": 2}
-        assert dict(m.restrict(["a", "zzz"])) == {"a": 1}
+        for keys in (["a", "c"], {"a", "c"}, frozenset({"a", "c"})):
+            assert dict(m.without(keys)) == {"b": 2}
+        for keys in (["a", "zzz"], {"a", "zzz"}, frozenset({"a", "zzz"})):
+            assert dict(m.restrict(keys)) == {"a": 1}
 
     def test_equality_ignores_insertion_order(self):
         m1 = FrozenMap({"a": 1, "b": 2})

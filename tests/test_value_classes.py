@@ -55,11 +55,12 @@ VALUE_CLASSES = (
     # Pushdown
     pushdown.PdControl, pushdown.PdNode,
 )
-BASES = (machines.Value, machines.Kont, store.Addr, store.Time, extended.Handler)
+BASES = (machines.Value, machines.Kont, machines.Storable, store.Addr, store.Time, extended.Handler)
 
 # Slots that cache a derived value rather than hold a field; writing them
-# after construction is how the caches fill.
-CACHE_SLOTS = frozenset({"_repr", "_text", "_free_vars", *store.FrozenMap.__slots__})
+# after construction is how the caches fill.  ``_live`` is the liveness
+# ``gc.live_locations`` keeps.
+CACHE_SLOTS = frozenset({"_repr", "_text", "_free_vars", "_live", *store.FrozenMap.__slots__})
 
 # Core programs run; with the whole (short) extended and security corpora,
 # enough to meet every class, and few enough to stay fast.
