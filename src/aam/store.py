@@ -1,11 +1,22 @@
 """Environments, stores, times, and addresses.
 
 Every map here (environments and both kinds of store) is a ``FrozenMap``:
-immutable, so each state keeps its own version and a write makes a new map.
-A map of up to ``TRIE_THRESHOLD`` entries is one dict that a write copies;
-a larger one is a hash trie whose writes copy one path and share the rest,
-so a long concrete trace keeps O(log n) new memory per state instead of a
-copy of its whole store.
+immutable, so each state keeps its own version, and each map reads one
+dict.  A write to an environment or an abstract store copies the dict.  A
+concrete store is written in place instead, since a concrete run writes
+only its newest store: ``ConcreteStore.update`` sets the key in the dict,
+hands the dict to the new store, and leaves the store it was given a
+one-entry undo record.  Reading an old store replays the records between
+it and the dict's holder and reverses them ("rerooting"; Baker, *Shallow
+Binding Makes Functional Arrays Fast*, 1991; Conchon & Filliâtre, *A
+Persistent Union-Find Data Structure*, 2007).  So a concrete step reads at
+dict speed and writes in O(1) time and memory, while every store of a
+trace stays readable; a walk through a trace's stores in order reroots
+one write at a time.
+
+Reading an old concrete store thus reorganises the dict its family
+shares, so a store must not be shared across threads; the package is
+single-threaded.
 
 Concrete stores are exact finite maps (an allocation must be fresh, a
 rebind overwrites).  Abstract stores map addresses to non-empty sets of
@@ -56,9 +67,8 @@ its ``_live`` slot (see ``gc``).
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Iterator, KeysView, Mapping, ValuesView
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
 from typing import Any, TypeVar
 
@@ -122,46 +132,31 @@ def cached_repr(render):
     return __repr__
 
 
-# A map of more than this many entries is a hash trie (see ``FrozenMap``),
-# and a trie's leaf holds at most this many hashes.  Time alone would put
-# it higher: one write and two lookups cost less on a trie than on a whole
-# dict only from about 400 entries.  But every state a trace keeps holds
-# the leaf its write copied, and concrete-ladder latencies were the same at
-# 64, 96, 128 and 256, so the threshold is the one that keeps the least
-# (the sweep is in BENCH_14.json).
-TRIE_THRESHOLD = 64
-# Bits of ``hash(key)`` that pick a branch's child, and so its fan-out.
-TRIE_BITS = 5
-_FANOUT = 1 << TRIE_BITS
-_MASK = _FANOUT - 1
-# The one empty leaf: every absent child of every branch.  Never written.
-_EMPTY_LEAF: dict = {}
-
-
 class FrozenMap(Mapping):
-    """Immutable hashable map; functional update via set/update/without.
+    """Immutable hashable map; functional update via set/update/without/
+    restrict.
 
-    A map of at most ``TRIE_THRESHOLD`` entries keeps them in one dict, and
-    a write copies it.  A larger map is a hash trie that shares structure
-    with the maps it was written from (Bagwell, *Ideal Hash Trees*, 2001):
-    a branch is a tuple of ``2 ** TRIE_BITS`` children, picked by the next
-    ``TRIE_BITS`` bits of the key's hash, and a leaf is a dict from hashes
-    to entries.  A node is a branch exactly when more than
-    ``TRIE_THRESHOLD`` distinct hashes share its hash prefix (keys of one
-    hash share an entry), so a key set has one shape however it was built.
-    ``set`` copies one leaf and the branches above it, so each store a
-    trace keeps costs O(log n) time and memory instead of a copy of the
-    whole store.  Lookups walk at most the trie's depth; iteration order
-    is the trie's, and nothing that prints depends on it.  No code outside
-    this module sees which form a map has.
+    Every map reads one dict, ``_d``.  ``FrozenMap(...)``, ``set``,
+    ``update``, ``without`` and ``restrict`` build a map that owns a fresh
+    dict alone and never changes it: every environment and abstract store,
+    ``EMPTY_MAP``, and a store GC restricted.  Its views are the dict's
+    own: read-only, set-like and iterating in C.
+
+    A concrete store is instead a version in a family of maps that share
+    one dict (see ``_Root`` and ``_Diff``); ``ConcreteStore.update`` is the
+    only writer of a family, and the first concrete write to a map that no
+    family owns copies it once.  Reading an old version reorganises the
+    family's dict, so a version's views (``items``, ``keys``, ``values``
+    and iteration) are snapshots, and two versions of one family compare a
+    snapshot against the other.
 
     The hash is the sum of the hashes of the ``(key, value)`` items, so it
-    does not depend on insertion order or form and can be kept up to date.
-    It is computed on first use.  ``set`` on a map whose hash is known
-    derives the new map's hash in O(1): it subtracts the replaced item's
-    hash and adds the new one's.  A map nothing ever hashed (a concrete
-    store) pays one ``None`` check for this.  The other updates leave the
-    hash to be computed lazily.
+    does not depend on insertion order and can be kept up to date.  It is
+    computed on first use.  ``set`` on a map whose hash is known derives
+    the new map's hash in O(1): it subtracts the replaced item's hash and
+    adds the new one's.  A map nothing ever hashed (a concrete store) pays
+    one ``None`` check for this.  The other updates leave the hash to be
+    computed lazily.
 
     ``_top`` is the largest ``FreshA`` number among the keys (-1 if there
     is none), or ``None`` while unknown.  Only concrete stores keep it:
@@ -172,38 +167,22 @@ class FrozenMap(Mapping):
     ``_repr`` keeps the rendering (see ``cached_repr``); a derived map
     never sees its parent's string."""
 
-    # ``_d`` is the dict of a small map or the ``_Trie`` of a large one;
-    # both answer the same reads, so the methods below rarely ask which.
     __slots__ = ("_d", "_hash", "_top", "_repr")
 
     def __init__(self, items: Mapping | Iterator | tuple = ()):
-        d = dict(items)
-        self._d = _Trie.build(d) if len(d) > TRIE_THRESHOLD else d
+        self._d = dict(items)
         self._hash = None
         self._top = None
 
     @classmethod
-    def _wrap(cls, d: dict | _Trie, h: int | None) -> "FrozenMap":
-        """A map over ``d``, a dict or trie of its size that no one else
-        holds; ``h`` is its hash when the caller already knows it."""
+    def _wrap(cls, d: dict, h: int | None = None) -> "FrozenMap":
+        """A map over the dict ``d``, which no other map reads; ``h`` is
+        its hash when the caller already knows it."""
         m = cls.__new__(cls)
         m._d = d
         m._hash = h
         m._top = None
         return m
-
-    @classmethod
-    def _adopt(cls, d: dict) -> "FrozenMap":
-        """Wrap a fresh dict that no one else holds, without copying it (a
-        large one becomes a trie)."""
-        return cls._wrap(_Trie.build(d) if len(d) > TRIE_THRESHOLD else d, None)
-
-    def _copy(self) -> dict:
-        """A fresh dict of the entries.  A small map's is a copy that keeps
-        the dict's stored hashes; ``dict(m)`` would call ``__getitem__``
-        per key."""
-        d = self._d
-        return d.copy() if type(d) is dict else d.to_dict()
 
     def __getitem__(self, key):
         return self._d[key]
@@ -257,211 +236,111 @@ class FrozenMap(Mapping):
             if old is not _ABSENT:
                 h -= hash((key, old))
             h += hash((key, value))
-        if type(d) is dict:
-            d = dict(d)
-            d[key] = value
-            if len(d) > TRIE_THRESHOLD:
-                d = _Trie.build(d)
-        else:
-            d = d.set(key, value)
+        d = d.copy()
+        d[key] = value
         return FrozenMap._wrap(d, h)
 
     def update(self, items) -> "FrozenMap":
-        d = self._copy()
+        d = self._d.copy()
         d.update(items)
-        return FrozenMap._adopt(d)
+        return FrozenMap._wrap(d)
 
     # ``keys`` is used as it is when it is already a set (``gc.collect``
     # hands ``restrict`` a frozenset).
     def without(self, keys) -> "FrozenMap":
         drop = keys if isinstance(keys, (set, frozenset)) else set(keys)
-        return FrozenMap._adopt({k: v for k, v in self._d.items() if k not in drop})
+        return FrozenMap._wrap({k: v for k, v in self._d.items() if k not in drop})
 
     def restrict(self, keys) -> "FrozenMap":
         keep = keys if isinstance(keys, (set, frozenset)) else set(keys)
-        return FrozenMap._adopt({k: v for k, v in self._d.items() if k in keep})
-
-
-class _Trie:
-    """The entries of a ``FrozenMap`` above ``TRIE_THRESHOLD``: the root
-    node, the number of entries, and whether no two keys share a hash.
-
-    A leaf maps ``hash(key)`` to the entry ``(key, value)``, or to a dict
-    from key to value of the keys that share that hash, so a lookup calls the
-    key's ``__hash__`` once and its ``__eq__`` only when it is not the
-    stored key itself.  It answers the reads a dict does (``get``, ``in``,
-    ``[]``, ``len``, iteration, the three views and ``==``); ``set``
-    returns a new trie that shares every node off the written key's path."""
-
-    __slots__ = ("_root", "_len", "_plain")
-
-    def __init__(self, root: tuple | dict, n: int, plain: bool):
-        self._root = root
-        self._len = n
-        self._plain = plain
-
-    @classmethod
-    def build(cls, d: dict) -> "_Trie":
-        leaf = {}
-        for k, v in d.items():
-            h = hash(k)
-            e = leaf.get(h)
-            leaf[h] = (k, v) if e is None else _collide(e, k, v)
-        return cls(_split(leaf, 0), len(d), len(leaf) == len(d))
-
-    def get(self, key, default=None):
-        h = hash(key)
-        node = self._root
-        bits = h
-        while type(node) is tuple:
-            node = node[bits & _MASK]
-            bits >>= TRIE_BITS
-        e = node.get(h)
-        if e is None:
-            return default
-        if type(e) is tuple:
-            k = e[0]
-            return e[1] if k is key or k == key else default
-        return e.get(key, default)
-
-    def __getitem__(self, key):
-        v = self.get(key, _ABSENT)
-        if v is _ABSENT:
-            raise KeyError(key)
-        return v
-
-    def __contains__(self, key) -> bool:
-        return self.get(key, _ABSENT) is not _ABSENT
-
-    def __len__(self) -> int:
-        return self._len
-
-    def _entries(self) -> Iterator[tuple]:
-        """Every ``(key, value)``, in trie order; in C unless two keys
-        share a hash.  (Iterating a 121-entry trie in C takes a third of
-        the time of the generator below, and makes
-        ``aam ceskt --fuel 300 --format json`` on Omega a tenth faster; see
-        BENCH_14.json.)"""
-        entries = chain.from_iterable(map(dict.values, _leaves((self._root,))))
-        if self._plain:
-            return entries
-        return chain.from_iterable((e,) if type(e) is tuple else e.items() for e in entries)
-
-    def __iter__(self):
-        return map(_first, self._entries())
-
-    def items(self):
-        return _TrieItems(self)
-
-    def keys(self):
-        return _TrieKeys(self)
-
-    def values(self):
-        return _TrieValues(self)
-
-    def to_dict(self) -> dict:
-        return dict(self._entries())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, _Trie):
-            return NotImplemented
-        return self._len == other._len and _same_nodes(self._root, other._root)
-
-    def set(self, key, value) -> "_Trie":
-        h = hash(key)
-        path = []
-        node = self._root
-        bits = h
-        while type(node) is tuple:
-            i = bits & _MASK
-            path.append((node, i))
-            node = node[i]
-            bits >>= TRIE_BITS
-        leaf = dict(node)
-        e = leaf.get(h)
-        n = self._len
-        if e is None:
-            leaf[h] = (key, value)
-            n += 1
-        elif type(e) is tuple and (e[0] is key or e[0] == key):
-            leaf[h] = (e[0], value)  # a dict, too, keeps the key it has
-        else:
-            leaf[h] = new = _collide(e, key, value)
-            n += len(new) - (1 if type(e) is tuple else len(e))
-        node = _split(leaf, TRIE_BITS * len(path)) if len(leaf) > TRIE_THRESHOLD else leaf
-        for parent, i in reversed(path):
-            children = list(parent)
-            children[i] = node
-            node = tuple(children)
-        return _Trie(node, n, self._plain and type(leaf[h]) is tuple)
+        return FrozenMap._wrap({k: v for k, v in self._d.items() if k in keep})
 
 
 _first = itemgetter(0)
-_second = itemgetter(1)
 
 
-def _collide(e, key, value) -> dict:
-    """The entry or collision ``e`` with ``key`` (of the same hash) set."""
-    c = dict([e]) if type(e) is tuple else dict(e)
-    c[key] = value
-    return c
+class _Root(FrozenMap):
+    """The version of a concrete store's family that holds the family's
+    dict (the ``Arr`` of Conchon & Filliâtre's rerooted persistent arrays,
+    *A Persistent Union-Find Data Structure*, 2007).  Its reads are a plain
+    map's.  Its views are snapshots: a live view would change under its
+    iteration as soon as another version of the family is read."""
 
-
-def _split(leaf: dict, shift: int):
-    """The canonical node for a leaf's entries, whose hashes agree below
-    bit ``shift``: the leaf itself if it holds few, else a branch on the
-    next ``TRIE_BITS`` bits.  Distinct hashes part before the bits run
-    out; keys of one hash share a single entry, so it always ends."""
-    if len(leaf) <= TRIE_THRESHOLD:
-        return leaf
-    buckets = [{} for _ in range(_FANOUT)]
-    for h, e in leaf.items():
-        buckets[(h >> shift) & _MASK][h] = e
-    deeper = shift + TRIE_BITS
-    return tuple(_split(b, deeper) if b else _EMPTY_LEAF for b in buckets)
-
-
-def _leaves(branch: tuple) -> Iterator[dict]:
-    """Every non-empty leaf under a branch, in trie order.  (The root is
-    a leaf when its keys have few distinct hashes; ``(root,)`` is a
-    branch above it.)"""
-    for child in branch:
-        if type(child) is tuple:
-            yield from _leaves(child)
-        elif child:
-            yield child
-
-
-def _same_nodes(a, b) -> bool:
-    """Equality of two nodes at one hash prefix.  Equal key sets have equal
-    shapes, so nodes of different kinds differ; a shared subtree is equal
-    without a look inside."""
-    if a is b:
-        return True
-    if type(a) is dict or type(b) is dict:
-        return a == b
-    return all(map(_same_nodes, a, b))
-
-
-class _TrieKeys(KeysView):
     __slots__ = ()
 
     def __iter__(self):
-        return iter(self._mapping)
+        return iter(list(self._d))
+
+    def items(self):
+        return self._d.copy().items()
+
+    def keys(self):
+        return self._d.copy().keys()
+
+    def values(self):
+        return self._d.copy().values()
+
+    # A snapshot of this side: when ``other`` is a version of this family,
+    # reading it reroots the dict away from this one.
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FrozenMap):
+            return self._d.copy() == other._d
+        return NotImplemented
+
+    # Defining ``__eq__`` would otherwise leave the class unhashable.
+    def __hash__(self) -> int:
+        return FrozenMap.__hash__(self)
 
 
-class _TrieItems(ItemsView):
+# Read and write the ``_d`` slot itself, which ``_Diff``'s property hides.
+_get_slot = FrozenMap._d.__get__
+_set_slot = FrozenMap._d.__set__
+
+
+def _reroot(target: "_Diff") -> dict:
+    """Make ``target`` the root of its family, and return the dict.
+
+    Walks the undo records from ``target`` up to the root, then replays them
+    back down, root first.  Each replayed record reverses: the version it
+    led to gets the record that redoes the write, pointing at the version
+    that now holds the dict (Baker, *Shallow Binding Makes Functional
+    Arrays Fast*, 1991).  A loop, so a chain of any length reroots without
+    deep recursion."""
+    path = []
+    v = target
+    while type(v) is _Diff:
+        path.append(v)
+        v = _get_slot(v)[2]
+    d = v._d
+    v.__class__ = _Diff  # every other version on the path is one already
+    for old in reversed(path):
+        key, value, newer = _get_slot(old)
+        _set_slot(newer, (key, d.get(key, _ABSENT), old))
+        if value is _ABSENT:
+            del d[key]
+        else:
+            d[key] = value
+    _set_slot(target, d)
+    target.__class__ = _Root
+    return d
+
+
+class _Diff(_Root):
+    """A version of a concrete store that a later write superseded (the
+    ``Diff`` of Conchon & Filliâtre).  Its ``_d`` slot holds an undo record
+    ``(key, value, newer)``: this version reads as the version ``newer``
+    with ``key`` mapped back to ``value``, or unmapped when ``value`` is
+    ``_ABSENT``.  Records point from old versions towards the root, so the
+    versions form a tree without cycles that refcounting frees.
+
+    Every read of a map goes through ``_d``, and here ``_d`` is a property
+    that first reroots the family at this version, which then is a
+    ``_Root``.  So the methods of ``FrozenMap`` and ``_Root`` serve a
+    version unchanged, and a read of a root pays nothing for them."""
+
     __slots__ = ()
 
-    def __iter__(self):
-        return self._mapping._entries()
-
-
-class _TrieValues(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return map(_second, self._mapping._entries())
+    _d = property(_reroot)
 
 
 EMPTY_MAP = FrozenMap()
@@ -604,12 +483,6 @@ def fresh_addr(store: FrozenMap) -> FreshA:
     return FreshA(top + 1)
 
 
-def store_get(store: FrozenMap, addr: Addr):
-    if addr not in store:
-        raise StoreError(f"dangling address {addr!r}")
-    return store[addr]
-
-
 # ---------------------------------------------------------------------------
 # Abstract stores: Addr -> non-empty frozenset of storables
 # ---------------------------------------------------------------------------
@@ -654,12 +527,12 @@ def astore_join(a: FrozenMap, b: FrozenMap) -> FrozenMap:
             break
     else:
         return a
-    d = a._copy()
+    d = a._d.copy()
     d[addr] = vals if got is None else got | vals
     for addr, vals in entries:
         got = d.get(addr)
         d[addr] = vals if got is None else got | vals
-    return FrozenMap._adopt(d)
+    return FrozenMap._wrap(d)
 
 
 def astore_leq(a: FrozenMap, b: FrozenMap) -> bool:
@@ -700,7 +573,11 @@ class ConcreteStore:
     tick of a timed state must strictly advance time.  A frame is its own
     address when the policy links it (see the module docstring).  A write
     only adds or overwrites a key, so the written store's high-water mark
-    is the larger of the parent's and the written ``FreshA``'s."""
+    is the larger of the parent's and the written ``FreshA``'s.
+
+    ``update`` is the one write in place: it sets the key in the given
+    store's dict, hands the dict to the new store, and leaves the given
+    store the undo record of the write (see ``_Diff``)."""
 
     def fetch(self, store: FrozenMap, addr: Addr, kind, what: str) -> tuple:
         """``what`` names the address's role in the stuck message."""
@@ -719,10 +596,20 @@ class ConcreteStore:
         return self.update(store, addr, value)
 
     def update(self, store: FrozenMap, addr: Addr, value) -> FrozenMap:
-        new = store.set(addr, value)
+        new = _Root.__new__(_Root)  # built inline: the write is on every step
+        if type(store) is FrozenMap:  # no family owns it: copy it once
+            d = store._d.copy()
+        else:
+            d = store._d  # an old version is rerooted first
+            store._d = (addr, d.get(addr, _ABSENT), new)
+            store.__class__ = _Diff
+        d[addr] = value
+        new._d = d
+        new._hash = None
         top = store._top
-        if top is not None:
-            new._top = addr.n if isinstance(addr, FreshA) and addr.n > top else top
+        if top is not None and isinstance(addr, FreshA) and addr.n > top:
+            top = addr.n
+        new._top = top
         return new
 
     def holds(self, store: FrozenMap, addr: Addr, kind) -> bool:

@@ -36,6 +36,7 @@ from aam.store import (
     FreshA,
     FrozenMap,
     Tick,
+    _Root,
     fresh_addr,
 )
 from aam.syntax import parse
@@ -145,15 +146,18 @@ def church_mul(n: int):
 
 def count_scans(monkeypatch) -> dict:
     """Count ``fresh_addr`` calls and the store iterations made inside
-    them, through the seam the policies call."""
+    them, through the seam the policies call.  A concrete store written in
+    place iterates through ``store._Root``'s snapshot, so both classes
+    that define ``__iter__`` are counted."""
     counts = {"calls": 0, "scans": 0}
     inside = []
-    real_iter = FrozenMap.__iter__
 
-    def counting_iter(self):
-        if inside:
-            counts["scans"] += 1
-        return real_iter(self)
+    def counting(real_iter):
+        def counting_iter(self):
+            if inside:
+                counts["scans"] += 1
+            return real_iter(self)
+        return counting_iter
 
     def counted(store):
         counts["calls"] += 1
@@ -163,7 +167,8 @@ def count_scans(monkeypatch) -> dict:
         finally:
             inside.pop()
 
-    monkeypatch.setattr(FrozenMap, "__iter__", counting_iter)
+    for cls in (FrozenMap, _Root):
+        monkeypatch.setattr(cls, "__iter__", counting(cls.__iter__))
     monkeypatch.setattr(machines, "fresh_addr", counted)
     return counts
 

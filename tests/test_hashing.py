@@ -212,8 +212,10 @@ def run_cli(path, hashseed, *args):
 OMEGA = "((lambda (w) (w w)) (lambda (w) (w w)))"
 
 
-# The concrete row's last store holds 161 entries: above
-# ``store.TRIE_THRESHOLD``, so it is a trie and iterates in hash order.
+# The concrete row's last store holds 161 entries.  The case is named for
+# the hash trie that once held stores this large and iterated them in hash
+# order; now every row but the last reads an old version of one store
+# family, whose dict order follows the rerooting.
 @pytest.mark.parametrize(
     "args",
     [("kcfa", "--k", "1"), ("pushdown",), ("ceskstar", "--fuel", "400")],

@@ -1,9 +1,11 @@
 """Maps, times, addresses, and the abstract-store lattice.
 
 The module-level checks (abstract writes and joins that add nothing return
-the map they were given; then the hash trie: a differential test against a
-plain dict, one shape per key set, and structure shared along a trace)
-also run without pytest, on any supported Python:
+the map they were given; then concrete stores written in place: a
+differential test of every version against a plain dict, views that
+outlive reads of other versions, a dropped trace that refcounting frees,
+a long chain rerooted, and maps no family owns left unchanged) also run
+without pytest, on any supported Python:
 
     PYTHONPATH=src python tests/test_store.py --check
 
@@ -12,6 +14,7 @@ It exits 1 and names the failed checks if any fails.
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 import traceback
@@ -25,7 +28,6 @@ from aam.machines import run_trace
 from aam.store import (
     ABSTRACT_STORE,
     CONCRETE_STORE,
-    TRIE_THRESHOLD,
     BindA,
     Contour,
     EMPTY_ASTORE,
@@ -38,13 +40,13 @@ from aam.store import (
     StoreError,
     Tick,
     UpdateA,
+    _Root,
     astore_add,
     astore_get,
     astore_join,
     astore_leq,
     fresh_addr,
     sort_key,
-    store_get,
     time_strictly_precedes,
 )
 from aam.syntax import parse
@@ -120,21 +122,21 @@ class TestFrozenMap:
         assert (FreshA(0), "c") in m.items() and (FreshA(0), "z") not in m.items()
         assert not hasattr(m.items(), "__setitem__") and not hasattr(m.keys(), "add")
         assert hash(m) == h and repr(m) == r and m == FrozenMap(d)
-        # Above the threshold the map is a trie, which iterates in its own
-        # order: the views agree with the dict as sets and with each other
-        # in order.
-        pairs += [(BindA("y", Tick(i)), i) for i in range(3 * TRIE_THRESHOLD)]
-        m, d = FrozenMap(pairs), dict(pairs)
-        h, r = hash(m), repr(m)
-        assert m.items() == d.items() and d.items() == m.items() and len(m.items()) == len(d)
-        assert m.keys() == d.keys() and d.keys() == m.keys() and len(m.keys()) == len(d)
-        assert list(m.keys()) == [k for k, _ in m.items()] == list(m)
-        assert list(m.values()) == [v for _, v in m.items()]
-        assert sorted(map(repr, m.values())) == sorted(map(repr, d.values()))
-        assert m.keys() & {FreshA(0), FreshA(1)} == {FreshA(0)}
-        assert (FreshA(0), "c") in m.items() and (FreshA(0), "z") not in m.items()
-        assert not hasattr(m.items(), "__setitem__") and not hasattr(m.keys(), "add")
-        assert hash(m) == h and repr(m) == r and m == FrozenMap(d)
+        # A concrete store is a version of a family that shares one dict: its
+        # views are snapshots, equal to the dict's, that later writes and
+        # reads of other versions leave alone.
+        old = EMPTY_MAP
+        for k, v in pairs:
+            old = CONCRETE_STORE.update(old, k, v)
+        new = CONCRETE_STORE.update(old, BindA("y", Tick(2)), "d")
+        items, keys, values = old.items(), old.keys(), list(old.values())
+        assert new.items() == {**d, BindA("y", Tick(2)): "d"}.items() and type(new) is _Root
+        assert items == d.items() and keys == d.keys() and sorted(values) == sorted(d.values())
+        assert list(keys) == [k for k, _ in items] and list(old) == list(old.keys())
+        assert keys & {FreshA(0), FreshA(1)} == {FreshA(0)}
+        assert (FreshA(0), "c") in old.items() and (FreshA(0), "z") not in new.items()
+        assert not hasattr(old.items(), "__setitem__") and not hasattr(new.keys(), "add")
+        assert hash(old) == hash(m) and repr(old) == r and old == m and m == old and old != new
 
 
 class TestTimes:
@@ -166,12 +168,6 @@ class TestAddresses:
     def test_fresh_addr_ignores_other_families(self):
         store = FrozenMap({BindA("x", Tick(9)): "a", MonoBindA("y"): "b"})
         assert fresh_addr(store) == FreshA(0)
-
-    def test_store_get(self):
-        store = FrozenMap({FreshA(0): "v"})
-        assert store_get(store, FreshA(0)) == "v"
-        with pytest.raises(StoreError):
-            store_get(store, FreshA(1))
 
     def test_family_distinctness(self):
         t = Contour((1,))
@@ -292,8 +288,9 @@ def _raises_store_error(f, *args) -> bool:
 def test_astore_add_returns_its_store_when_every_storable_is_present():
     x, y = MonoBindA("x"), MonoBindA("y")
     small = FrozenMap({x: frozenset({"a", "b"})})
-    # Above the threshold the store is a trie; the same holds there.
-    large = small.update({MonoKontA(i): frozenset({i}) for i in range(2 * TRIE_THRESHOLD)})
+    # So does a store of more than 64 entries, the size from which maps
+    # were once hash tries.
+    large = small.update({MonoKontA(i): frozenset({i}) for i in range(128)})
     for store in (small, large):
         hash(store)  # a later write derives its hash from this one
         for vals in (["a"], ["b", "a"], ("a", "a"), frozenset({"b"})):
@@ -384,7 +381,7 @@ def test_astore_join_matches_acopying_astore_join():
 
 
 # ---------------------------------------------------------------------------
-# Maps above the threshold: the hash trie
+# Concrete stores: versions of one dict, rerooted when an old one is read
 # ---------------------------------------------------------------------------
 
 
@@ -408,16 +405,14 @@ class Hashed:
 
 # Keys of every hash shape, each with its own repr: small and large
 # negative hashes (-1 and -2 hash alike), string hashes that change with
-# the hash seed, more keys of one hash than a leaf holds, more distinct
-# hashes than a leaf holds that agree on their low 56 bits (so the trie is
-# twelve branches deep there), and the addresses a concrete store holds.
+# the hash seed, keys that share one hash, and the addresses a concrete
+# store holds.
 KEYS = (
-    [-i for i in range(1, 120)]
-    + [-(10**15) - i for i in range(40)]
-    + [f"s{i}" for i in range(60)]
-    + [Hashed(f"C{i}", -0x5EED) for i in range(TRIE_THRESHOLD + 20)]
-    + [Hashed(f"D{i}", (i - 100) << 56) for i in range(TRIE_THRESHOLD + 72)]
-    + [FreshA(i) for i in range(120)]
+    [-i for i in range(1, 40)]
+    + [-(10**15) - i for i in range(10)]
+    + [f"s{i}" for i in range(30)]
+    + [Hashed(f"C{i}", -0x5EED) for i in range(10)]
+    + [FreshA(i) for i in range(60)]
 )
 _MISSING = object()
 
@@ -426,56 +421,72 @@ def _top_of(d: dict) -> int:
     return max((k.n for k in d if isinstance(k, FreshA)), default=-1)
 
 
-def check_against_dict(m: FrozenMap, d: dict, rng: random.Random) -> None:
-    """Every read of ``m`` agrees with the dict ``d``."""
-    assert len(m) == len(d)
-    for k in d:
-        assert k in m and m[k] == d[k] and m.get(k) == d[k]
-    for k in rng.sample(KEYS, 20):
-        assert (k in m) == (k in d)
-        assert m.get(k, _MISSING) == d.get(k, _MISSING)
-    assert sorted(map(repr, m)) == sorted(map(repr, d))
-    assert m.items() == d.items() and m.keys() == d.keys()
-    assert list(m.keys()) == [k for k, _ in m.items()] == list(m)
-    assert list(m.values()) == [v for _, v in m.items()]
-    rebuilt = FrozenMap(d)
-    assert m == rebuilt and rebuilt == m
-    if d:
-        k = rng.choice(list(d))
-        assert m != FrozenMap({**d, k: ("other", d[k])})
-    want = "{" + ", ".join(f"{k!r}: {d[k]!r}" for k in sorted(d, key=repr)) + "}"
-    assert repr(m) == repr(rebuilt) == want
-    if rng.random() < 0.5:  # the next set then derives its hash
-        assert hash(m) == hash(rebuilt)
-    if m._top is not None:
-        assert m._top == _top_of(d)
+def check_versions(picked: list, rng: random.Random) -> None:
+    """Every read of each ``(map, dict)`` pair in ``picked`` agrees with
+    the dict.  Reads of different maps interleave, so when two of them are
+    versions of one family each read reroots it."""
+    probes = rng.sample(KEYS, 8) + [k for _, d in picked for k in rng.sample(list(d), min(4, len(d)))]
+    for k in probes:
+        for m, d in picked:
+            assert (k in m) == (k in d)
+            assert m.get(k, _MISSING) == d.get(k, _MISSING)
+            if k in d:
+                assert m[k] == d[k]
+            else:
+                assert _raises_key_error(m, k)
+    for m, d in picked:
+        assert len(m) == len(d)
+    for m, d in picked:
+        assert m.items() == d.items() and m.keys() == d.keys()
+    for m, d in picked:
+        assert sorted(map(repr, m)) == sorted(map(repr, d))
+        assert sorted(map(repr, m.values())) == sorted(map(repr, d.values()))
+    for (a, da), (b, db) in zip(picked, picked[1:]):
+        assert (a == b) == (da == db) and (b == a) == (da == db)
+        assert a == FrozenMap(da) and FrozenMap(db) == b
+    for m, d in picked:
+        want = "{" + ", ".join(f"{k!r}: {d[k]!r}" for k in sorted(d, key=repr)) + "}"
+        assert repr(m) == want
+        if rng.random() < 0.5:  # a later ``set`` then derives its hash
+            assert hash(m) == hash(FrozenMap(d))
+        if m._top is not None:
+            assert m._top == _top_of(d)
 
 
-def test_the_trie_reads_like_a_dict_under_random_updates():
-    """Seeded random ``set``/``update``/``without``/``restrict`` runs that
-    cross the threshold both ways, checked against a plain dict after
-    every operation; each earlier map must still read as it did."""
-    crossings = 0
+def _raises_key_error(m: FrozenMap, k) -> bool:
+    try:
+        m[k]
+    except KeyError:
+        return True
+    return False
+
+
+def test_every_version_reads_like_its_dict_under_random_writes():
+    """Seeded runs of writes on randomly chosen versions, old ones
+    included: mostly concrete writes in place (``ConcreteStore.update``),
+    and the copying ``set``/``update``/``without``/``restrict``.  After
+    every write, the reads of a few random versions interleave, each
+    checked against a dict of what that version held when it was made."""
+    concrete_on_old = 0
     for seed in range(3):
         rng = random.Random(seed)
-        m, d = EMPTY_MAP, {}
-        history = []
-        for i in range(600):
-            # Phases of 150 operations: mostly growing, then mostly shrinking.
-            op = rng.random() * (0.8 if i // 150 % 2 == 0 else 1.6)
-            if op < 0.7:
+        versions = [(EMPTY_MAP, {}), (FrozenMap({KEYS[0]: 0}), {KEYS[0]: 0})]
+        for _ in range(500):
+            m, d = rng.choice(versions[-3:] if rng.random() < 0.6 else versions)
+            op = rng.random()
+            if op < 0.75:
                 k, v = rng.choice(KEYS), rng.randrange(4)
-                if rng.random() < 0.5:
-                    m2 = m.set(k, v)
-                else:
-                    if rng.random() < 0.3:
-                        fresh_addr(m)  # learn the high-water mark, carried from here on
-                    m2 = CONCRETE_STORE.update(m, k, v)
-                d2 = {**d, k: v}
-            elif op < 0.8:
-                more = {rng.choice(KEYS): rng.randrange(4) for _ in range(rng.randrange(1, 30))}
+                if rng.random() < 0.2:
+                    fresh_addr(m)  # learn the high-water mark, carried from here on
+                concrete_on_old += type(m) is not _Root
+                m2, d2 = CONCRETE_STORE.update(m, k, v), {**d, k: v}
+            elif op < 0.85:
+                k, v = rng.choice(KEYS), rng.randrange(4)
+                m2, d2 = m.set(k, v), {**d, k: v}
+            elif op < 0.9:
+                more = {rng.choice(KEYS): rng.randrange(4) for _ in range(rng.randrange(1, 10))}
                 m2, d2 = m.update(more), {**d, **more}
-            elif op < 1.2:
+            elif op < 0.95:
                 drop = rng.sample(list(d), len(d) // rng.randint(2, 8)) + rng.sample(KEYS, 3)
                 m2 = m.without(drop)
                 d2 = {k: v for k, v in d.items() if k not in drop}
@@ -483,105 +494,114 @@ def test_the_trie_reads_like_a_dict_under_random_updates():
                 keep = rng.sample(list(d), len(d) * rng.randint(5, 9) // 10) + rng.sample(KEYS, 3)
                 m2 = m.restrict(keep)
                 d2 = {k: v for k, v in d.items() if k in keep}
-            check_against_dict(m2, d2, rng)
-            crossings += (len(d) > TRIE_THRESHOLD) != (len(d2) > TRIE_THRESHOLD)
-            history.append((m, d))
-            m, d = m2, d2
-        for old, old_d in rng.sample(history, 20):
-            check_against_dict(old, old_d, rng)
-    assert crossings >= 6, crossings
+            versions.append((m2, d2))
+            check_versions([(m2, d2)] + rng.sample(versions, 2), rng)
+        check_versions(rng.sample(versions, 40), rng)
+    assert concrete_on_old > 100, concrete_on_old
 
 
-def test_keys_of_one_hash_written_into_a_trie():
-    """A trie with no shared hash, then keys that share one, one by one,
-    and a key of them overwritten."""
-    rng = random.Random(5)
-    d = {FreshA(i): i for i in range(TRIE_THRESHOLD + 1)}
-    m = FrozenMap(d)
-    for i in range(4):
-        k = Hashed(f"C{i}", -0x5EED)
-        m, d = m.set(k, i), {**d, k: i}
-        check_against_dict(m, d, rng)
-    k = Hashed("C0", -0x5EED)
-    m, d = m.set(k, "again"), {**d, k: "again"}
-    check_against_dict(m, d, rng)
+def overwritten(before: FrozenMap, after: FrozenMap) -> bool:
+    """Whether ``after`` rebinds a key ``before`` holds (the check
+    ``tests/test_fresh_alloc.py`` makes on consecutive stores)."""
+    return any(a in before and before[a] is not v for a, v in after.items())
 
 
-def _shape(m: FrozenMap):
-    """The map's node structure: the hashes each leaf holds, the children
-    of each branch."""
-
-    def shape(node):
-        if type(node) is dict:
-            return frozenset(node)
-        return tuple(map(shape, node))
-
-    return shape(getattr(m._d, "_root", m._d))
-
-
-def test_one_key_set_has_one_shape_however_it_was_built():
-    rng = random.Random(11)
-    d = {k: i % 5 for i, k in enumerate(KEYS)}
-    extra = {f"extra{i}": i for i in range(TRIE_THRESHOLD)}
-    shuffled = list(d.items())
-    rng.shuffle(shuffled)
-    by_set = EMPTY_MAP
-    for k, v in shuffled:
-        by_set = by_set.set(k, v)
-    by_update = FrozenMap(shuffled[:TRIE_THRESHOLD + 1])
-    for i in range(TRIE_THRESHOLD + 1, len(shuffled), 37):
-        by_update = by_update.update(dict(shuffled[i:i + 37]))
-    maps = [
-        FrozenMap(d),
-        FrozenMap(reversed(shuffled)),
-        by_set,
-        by_update,
-        FrozenMap({**d, **extra}).without(extra),
-        FrozenMap({**d, **extra}).restrict(d),
-        by_set.set(KEYS[0], "changed").set(KEYS[0], d[KEYS[0]]),
-    ]
-    first = maps[0]
-    for m in maps:
-        assert _shape(m) == _shape(first)
-        assert m == first and hash(m) == hash(first) and repr(m) == repr(first)
-        check_against_dict(m, d, rng)  # reads at full depth, and of one hash
-    small = first.restrict(KEYS[:TRIE_THRESHOLD])
-    assert type(small._d) is dict and small == FrozenMap({k: d[k] for k in KEYS[:TRIE_THRESHOLD]})
+def test_a_view_of_one_version_outlives_reads_of_another():
+    """Iterating one version's views while reading another version of its
+    family, so that every entry reroots the family twice: each side sees
+    its own entries, each once."""
+    old = EMPTY_MAP
+    for i in range(20):
+        old = CONCRETE_STORE.update(old, FreshA(i), f"v{i}")
+    new = old
+    for i in range(10, 30):
+        new = CONCRETE_STORE.update(new, FreshA(i), f"w{i}")
+    assert overwritten(old, new) and overwritten(new, old) and not overwritten(new, new)
+    want_old = {FreshA(i): f"v{i}" for i in range(20)}
+    want_new = {**want_old, **{FreshA(i): f"w{i}" for i in range(10, 30)}}
+    for this, other, want in ((old, new, want_old), (new, old, want_new)):
+        items, keys, values = [], [], []
+        for a, v in this.items():
+            other.get(a)
+            items.append((a, v))
+            assert this[a] == v
+        for a in this:
+            other.get(a)
+            keys.append(a)
+            assert a in this
+        for a in this.keys():
+            keys.append(a)
+            assert other.get(a) != this[a] or a.n < 10
+        for v in this.values():
+            other.get(FreshA(25))
+            values.append(v)
+        assert dict(items) == want and len(items) == len(want)
+        assert set(keys) == set(want) and len(keys) == 2 * len(want)
+        assert sorted(values) == sorted(want.values())
 
 
 OMEGA = parse("((lambda (x) (x x)) (lambda (x) (x x)))")
 
 
-def _nodes(m: FrozenMap):
-    root = getattr(m._d, "_root", m._d)
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        if type(node) is tuple:
-            stack.extend(node)
+def _unreachable_maps() -> int:
+    """Collect with every unreachable object kept in ``gc.garbage``, and
+    count the ``FrozenMap`` objects among them."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return sum(isinstance(x, FrozenMap) for x in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
-def _depth(node) -> int:
-    return 0 if type(node) is dict else 1 + max(map(_depth, node))
+def test_a_dropped_trace_is_freed_by_refcounting():
+    """Undo records point from old versions towards the root, never back,
+    so a dropped trace leaves no cycle of maps for the collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        cycle = [FrozenMap()]
+        cycle.append(FrozenMap({"self": cycle}))
+        del cycle
+        assert _unreachable_maps() == 2  # the check sees maps in a cycle
+        gc.collect()  # and the cleared ``gc.garbage`` left them for this one
+        trace = run_trace("ceskstar", OMEGA, 2000)
+        stores = [s.store for s in trace.states]
+        assert len(stores[0]) == 0 and len(stores[-1]) == 801 and stores[1000][FreshA(0)]
+        del trace, stores
+        assert _unreachable_maps() == 0
+    finally:
+        gc.enable()
 
 
-def test_consecutive_stores_of_a_trace_share_all_but_one_path():
-    """Past the threshold, a write makes one new leaf and copies only the
-    branches above it; every other node is the parent store's own.  A
-    write that splits a leaf makes new leaves holding one more entry than
-    the threshold."""
-    trace = run_trace("ceskstar", OMEGA, 600)
-    stores = [s.store for s in trace.states]
-    pairs = [(a, b) for a, b in zip(stores, stores[1:]) if len(a) > TRIE_THRESHOLD]
-    assert len(pairs) > 100
-    for a, b in pairs:
-        old = {id(n) for n in _nodes(a)}
-        new = [n for n in _nodes(b) if id(n) not in old]
-        assert sum(len(n) for n in new if type(n) is dict) <= TRIE_THRESHOLD + 1
-        split = sum(type(n) is tuple for n in _nodes(b)) > sum(type(n) is tuple for n in _nodes(a))
-        if not split:
-            assert len(new) <= _depth(getattr(b._d, "_root", b._d)) + 1
+def test_a_long_chain_reroots_without_recursion():
+    versions = [EMPTY_MAP]
+    for i in range(100_000):
+        versions.append(CONCRETE_STORE.update(versions[-1], FreshA(i % 1000), i))
+    first, middle, last = versions[1], versions[50_000], versions[-1]
+    assert dict(first.items()) == {FreshA(0): 0}
+    assert last[FreshA(999)] == 99_999 and len(last) == 1000
+    assert middle[FreshA(0)] == 50_000 - 1000 and middle.get(FreshA(1)) == 49_001
+    assert first == FrozenMap({FreshA(0): 0}) and len(versions[0]) == 0
+    assert versions[-2] != last and versions[-2] == versions[-2]
+
+
+def test_a_map_no_family_owns_is_copied_on_its_first_concrete_write():
+    """``EMPTY_MAP``, a map built directly, and a map made by a copying
+    write or by ``restrict`` keep their entries after concrete writes on
+    them, and compare equal to their earlier copies."""
+    built = FrozenMap({FreshA(0): "a", BindA("x", Tick(1)): "b"})
+    for m in (EMPTY_MAP, built, built.set(FreshA(3), "c"), built.restrict([FreshA(0)])):
+        earlier = FrozenMap(dict(m.items()))
+        one = CONCRETE_STORE.update(m, FreshA(0), "one")
+        two = CONCRETE_STORE.update(m, FreshA(1), "two")
+        three = CONCRETE_STORE.update(one, FreshA(2), "three")
+        assert type(m) is FrozenMap and m == earlier and earlier == m
+        assert hash(m) == hash(earlier) and repr(m) == repr(earlier) and len(m) == len(earlier)
+        assert one == earlier.set(FreshA(0), "one") and two == earlier.set(FreshA(1), "two")
+        assert three == earlier.set(FreshA(0), "one").set(FreshA(2), "three")
+    assert len(EMPTY_MAP) == 0 and dict(built.items()) == {FreshA(0): "a", BindA("x", Tick(1)): "b"}
 
 
 if __name__ == "__main__":
