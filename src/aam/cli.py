@@ -341,7 +341,8 @@ def _parts(args, program):
                 raise ConfigError(f"--annotate: {error}")
         if args.annotate is not None:
             e = annotate(e, granted)
-        arg = program.permissions or (permissions_used(e) | granted)
+        declared = program.permissions
+        arg = permissions_used(e) | granted if declared is None else declared
     if reading == "cek":
         lang.check(e)
         return inject_cek(e), step_cek

@@ -14,12 +14,17 @@ R, drops granted permissions, and succeeds at the empty continuation (or
 once nothing is left to justify).  Pushed frames start with empty marks;
 refocusing an argument frame into a call frame preserves its marks.
 
-The rules are written once, in ``_cm_rules`` (held by ``SECURITY``, whose
-argument is the permission universe).  ``step_cm`` reads them with
+The security machine is the core machine with marks on its frames, as
+Clements and Felleisen's CM machine is the CESK machine with marks:
+``MtM``, ``ArM`` and ``FnM`` subclass ``Mt``, ``Ar`` and ``Fn`` with a
+``marks`` field.  So ``machines._core_rules``, which build each pushed
+frame from the frame below it, step every core form, and ``_cm_rules``
+(held by ``SECURITY``, whose argument is the permission universe) adds
+only the four security forms.  ``step_cm`` reads the rules with
 ``machines.LINKED_POLICY`` on untimed states, so every frame links to the
-frame below it; ``step_cm_star`` with a store-allocating policy
-and ``step_cm_abstract`` over abstract stores.  Their inspection predicate
-is one search over the store-resolved continuation paths: a test takes its
+frame below it; ``step_cm_star`` with a store-allocating policy and
+``step_cm_abstract`` over abstract stores.  Their inspection predicate is
+one search over the store-resolved continuation paths: a test takes its
 true branch if some path satisfies OK and its false branch if some path
 refutes OK.  A linked continuation or an exact store has one path, so
 exactly one branch is taken; with a merged store both can be.  ``ok``, the
@@ -34,19 +39,23 @@ with it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Union
 
 from .analysis import alpha_fields
 from .machines import (
+    Ar,
     CESKtState,
-    Closure,
     FRESH_POLICY,
     FailFinal,
     Final,
+    Fn,
     Kont,
     LINKED_POLICY,
     Language,
+    Mt,
     StepOutcome,
+    _core_halt,
+    _core_rules,
+    is_final_abstract,
 )
 from .store import (
     ABSTRACT_STORE,
@@ -80,7 +89,7 @@ EMPTY_MARKS = EMPTY_MAP
 
 
 @value_class
-class MtM(Kont):
+class MtM(Mt):
     marks: Marks = EMPTY_MARKS
 
     @cached_repr
@@ -89,29 +98,28 @@ class MtM(Kont):
 
 
 @value_class
-class ArM(Kont):
-    exp: Exp
-    env: Env
-    marks: Marks
-    tail: Union[Kont, Addr]
+class ArM(Ar):
+    marks: Marks = EMPTY_MARKS
 
     @cached_repr
     def __repr__(self) -> str:
         return f"Ar^{self.marks!r}({self.exp!r} {self.env!r} {self.tail!r})"
 
+    def fn(self, lam: Lam, env: Env) -> FnM:
+        return FnM(lam, env, self.tail, self.marks)
+
 
 @value_class
-class FnM(Kont):
-    lam: Lam
-    env: Env
-    marks: Marks
-    tail: Union[Kont, Addr]
+class FnM(Fn):
+    marks: Marks = EMPTY_MARKS
 
     @cached_repr
     def __repr__(self) -> str:
         return f"Fn^{self.marks!r}({self.lam!r} {self.env!r} {self.tail!r})"
 
 
+# An application pushes a marked frame, with empty marks, onto a marked one.
+MtM.AR = ArM.AR = FnM.AR = ArM
 MTM = MtM()
 
 
@@ -246,53 +254,23 @@ def annotate(e: Exp, perms: frozenset[str]) -> Exp:
 # ---------------------------------------------------------------------------
 
 
-def _is_fail_halt(c: Exp, kont: Kont) -> bool:
-    return isinstance(c, Fail) and kont == MTM
-
-
-def is_final_acm(s: CMStarState) -> bool:
-    return isinstance(s.ctrl, Lam) and isinstance(s.kont, MtM)
-
-
 def is_fail_acm(s: CMStarState) -> bool:
-    return _is_fail_halt(s.ctrl, s.kont)
+    return isinstance(s.ctrl, Fail) and s.kont == MTM
+
+
+# Over marked frames the core rules are the security machine's rules for
+# every core form, and the core final test is its final test.
+is_final_acm = is_final_abstract
 
 
 def _cm_rules(s: CMStarState, sem, policy, universe: frozenset[str]) -> list:
-    """The security machine's transitions over store semantics ``sem``."""
+    """The security forms' transitions over store semantics ``sem``; the
+    core forms step by ``machines._core_rules``."""
+    if isinstance(s.ctrl, (Ref, App, Lam)):
+        return _core_rules(s, sem, policy, universe)
     c, env, store, k = s.ctrl, s.env, s.store, s.kont
-    if isinstance(c, Ref):
-        addr = env.get(c.name)
-        if addr is None:
-            return sem.stuck("unbound variable {}", c.name)
-        clos = sem.fetch(store, addr, Closure, "address")
-        u = sem.tick(policy, s, k)
-        succs = []
-        for v in clos:
-            succs.append(CMStarState(v.lam, v.env, store, k, u))
-        return succs
-    if isinstance(c, App):
-        u = sem.tick(policy, s, k)
-        addr = policy.alloc_kont(c.label, s, k)
-        frame = ArM(c.arg, env, EMPTY_MARKS, addr)
-        return [CMStarState(c.fun, env, sem.alloc(store, addr, k), frame, u)]
-    if isinstance(c, Lam):
-        if isinstance(k, ArM):
-            frame = FnM(c, env, k.marks, k.tail)
-            return [CMStarState(k.exp, k.env, store, frame, sem.tick(policy, s, k))]
-        if isinstance(k, FnM):
-            succs = []
-            for popped in sem.fetch(store, k.tail, Kont, "continuation address"):
-                u = sem.tick(policy, s, popped)
-                addr = policy.alloc_bind(k.lam.param, s, popped)
-                store2 = sem.alloc(store, addr, Closure(c, env))
-                succs.append(CMStarState(k.lam.body, k.env.set(k.lam.param, addr), store2, popped, u))
-            return succs
-        return sem.stuck("no rule for control {!r}", c)
     if isinstance(c, Fail):
-        if _is_fail_halt(c, k):
-            return []
-        return [CMStarState(c, env, store, MTM, sem.tick(policy, s, MTM))]
+        return [] if k == MTM else [CMStarState(c, env, store, MTM, sem.tick(policy, s, MTM))]
     if isinstance(c, Frame):
         return [CMStarState(c.body, env, store, mark(k, universe - c.perms, DENY), sem.tick(policy, s, k))]
     if isinstance(c, Grant):
@@ -306,13 +284,9 @@ def _cm_rules(s: CMStarState, sem, policy, universe: frozenset[str]) -> list:
 
 
 def _halt(s: CMStarState) -> Final | FailFinal | None:
-    """How a concrete run ends at ``s``: a value or a security failure
-    facing the empty continuation, or None when ``s`` steps on."""
-    if isinstance(s.kont, MtM):
-        if isinstance(s.ctrl, Lam):
-            return Final(Closure(s.ctrl, s.env))
-        if _is_fail_halt(s.ctrl, s.kont):
-            return FailFinal()
+    """A core halt, or a security failure facing the empty continuation."""
+    if isinstance(s.kont, Mt):
+        return FailFinal() if is_fail_acm(s) else _core_halt(s)
     return None
 
 

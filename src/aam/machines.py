@@ -15,7 +15,9 @@ refines one machine into the next:
 Frames:  Mt is the empty continuation; Ar(e, env, tail) waits for an
 operator value with the operand pending; Fn(lam, env, tail) waits for the
 operand value with the operator closure in hand.  ``tail`` is the frame
-itself when frames are linked and an address when they are stored.
+itself when frames are linked and an address when they are stored.  The
+rules build each frame they push from the frame below it (``k.AR``,
+``Ar.fn``).
 
 Policies supply ``tick``/``alloc_*``; both take the state and the
 continuation chosen by the firing rule.  Concrete policies must allocate
@@ -35,8 +37,9 @@ The rules of CESK, CESK* and CESK*t are written once, in ``_core_rules``
 from ``store``.  The machines differ only in their policy and in whether
 their states carry a time: ``step_cesk`` reads them with ``LINKED_POLICY``
 on untimed states, ``step_cesk_star`` with ``FRESH_POLICY`` on untimed
-states, ``step_ceskt`` with any concrete policy on timed ones, and
-``analysis.step_abstract`` over abstract stores.
+states, ``step_ceskt`` with any concrete policy on timed ones,
+``analysis.step_abstract`` over abstract stores, and ``inspection`` over
+the security language's marked frames, which subclass the core ones.
 """
 
 from __future__ import annotations
@@ -127,6 +130,10 @@ class Ar(Kont):
     def __repr__(self) -> str:
         return f"Ar({self.exp!r} {self.env!r} {self.tail!r})"
 
+    def fn(self, lam: Lam, env: Env) -> Fn:
+        """The call frame this frame becomes once its operator is a value."""
+        return Fn(lam, env, self.tail)
+
 
 @value_class
 class Fn(Kont):
@@ -139,6 +146,8 @@ class Fn(Kont):
         return f"Fn({self.lam!r} {self.env!r} {self.tail!r})"
 
 
+# The argument frame an application pushes onto a frame of each class.
+Mt.AR = Ar.AR = Fn.AR = Ar
 MT = Mt()
 
 
@@ -368,10 +377,10 @@ def _core_rules(s: CESKtState, sem, policy, _=None) -> list:
     if isinstance(c, App):
         u = sem.tick(policy, s, k)
         addr = policy.alloc_kont(c.label, s, k)
-        return [CESKtState(c.fun, env, sem.alloc(store, addr, k), Ar(c.arg, env, addr), u)]
+        return [CESKtState(c.fun, env, sem.alloc(store, addr, k), k.AR(c.arg, env, addr), u)]
     if isinstance(c, Lam):
         if isinstance(k, Ar):
-            return [CESKtState(k.exp, k.env, store, Fn(c, env, k.tail), sem.tick(policy, s, k))]
+            return [CESKtState(k.exp, k.env, store, k.fn(c, env), sem.tick(policy, s, k))]
         if isinstance(k, Fn):
             succs = []
             for popped in sem.fetch(store, k.tail, Kont, "continuation address"):

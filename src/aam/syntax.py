@@ -156,7 +156,7 @@ for _cls in (Exp, *Exp.__subclasses__()):
 @dataclass(frozen=True)
 class Program:
     exp: Exp
-    permissions: frozenset[str]
+    permissions: frozenset[str] | None  # None: no pragma
 
 
 # Form families accepted by each machine family.
@@ -326,7 +326,7 @@ def parse(text: str) -> Exp:
 
 def parse_program(text: str) -> Program:
     """Parse an expression plus the optional permission-universe pragma."""
-    perms: frozenset[str] = frozenset()
+    perms: frozenset[str] | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:

@@ -208,6 +208,12 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "universe" in r.stderr
 
+    @pytest.mark.parametrize("machine", ["cm", "acm"])
+    def test_empty_pragma_declares_an_empty_universe(self, tmp_path, machine):
+        r = run_cli(tmp_path, ";; permissions: ()\n(frame (p) (lambda (x) x))", machine)
+        assert r.returncode == 2, (r.stdout, r.stderr)
+        assert r.stderr == "config error: permissions ['p'] are outside the declared universe\n"
+
     def test_pragma_declares_the_universe(self, tmp_path):
         r = run_cli(tmp_path, ";; permissions: (p q)\n" + TEST_NO_FRAME, "cm")
         assert r.returncode == 0

@@ -9,7 +9,8 @@ import pytest
 
 from corpus import SEED, UNIVERSE, security_corpus, terminating_corpus
 from oracles import alpha_simulated, kont_paths, ok_path
-from aam.analysis import KCFAPolicy, explore_states
+from aam.analysis import KCFAPolicy, explore_states, inject_abstract, is_final_abstract, step_abstract
+from aam.gc import collecting_successors
 from aam.inspection import (
     DENY,
     EMPTY_MARKS,
@@ -33,7 +34,7 @@ from aam.inspection import (
     step_cm_abstract,
     step_cm_star,
 )
-from aam.machines import TIME_KEYED_POLICY, trace_from
+from aam.machines import FRESH_POLICY, MT, TIME_KEYED_POLICY, Ar, CESKtState, Fn, run_trace, trace_from
 from aam.store import EMPTY_MAP, FrozenMap, MonoKontA
 from aam.syntax import (
     Fail,
@@ -70,8 +71,8 @@ def run_cm_star(e, universe=UNIVERSE, fuel=4000, policy=TIME_KEYED_POLICY):
 def marked(kont_cls, marks, tail, exp=None, env=EMPTY_MAP):
     lam = parse("(lambda (z) z)")
     if kont_cls is ArM:
-        return ArM(exp if exp is not None else lam, env, FrozenMap(marks), tail)
-    return FnM(lam, env, FrozenMap(marks), tail)
+        return ArM(exp if exp is not None else lam, env, marks=FrozenMap(marks), tail=tail)
+    return FnM(lam, env, marks=FrozenMap(marks), tail=tail)
 
 
 class TestOkPredicate:
@@ -193,8 +194,8 @@ class TestStorePathPredicates:
                 return MtM(rand_marks())
             cls = rng.choice((ArM, FnM))
             if cls is ArM:
-                return ArM(lam, EMPTY_MAP, rand_marks(), tail)
-            return FnM(lam, EMPTY_MAP, rand_marks(), tail)
+                return ArM(lam, EMPTY_MAP, marks=rand_marks(), tail=tail)
+            return FnM(lam, EMPTY_MAP, marks=rand_marks(), tail=tail)
 
         entries = {}
         for i, a in enumerate(addrs):
@@ -312,3 +313,57 @@ class TestFailSemantics:
         assert any(
             isinstance(a.kont, FnM) and isinstance(a.ctrl, Fail) for a in t.states
         )
+
+
+def unmarked(x):
+    """``x`` with every marked frame, in its registers and its store, read
+    as the core frame it marks; every mark must be empty."""
+    if isinstance(x, (MtM, ArM, FnM)):
+        assert x.marks == EMPTY_MARKS, x
+        if isinstance(x, MtM):
+            return MT
+        if isinstance(x, ArM):
+            return Ar(x.exp, x.env, unmarked(x.tail))
+        return Fn(x.lam, x.env, unmarked(x.tail))
+    if isinstance(x, CESKtState):
+        return CESKtState(x.ctrl, x.env, unmarked(x.store), unmarked(x.kont), x.time)
+    if isinstance(x, FrozenMap):
+        return FrozenMap({a: unmarked(v) for a, v in x.items()})
+    if isinstance(x, frozenset):
+        return frozenset(map(unmarked, x))
+    return x
+
+
+class TestCoreMachineWithMarks:
+    """The security machine is the core machine with marks on its frames: on
+    a program with no security form, under an empty universe, every mark
+    stays empty and each run is the core machine's run, state for state."""
+
+    NONE = frozenset()
+
+    def test_cm_is_cesk(self):
+        for e in terminating_corpus():
+            cm, core = run_cm(e, self.NONE), run_trace("cesk", e, 4000)
+            assert cm.outcome == core.outcome == "final" and cm.value == core.value
+            assert [unmarked(s) for s in cm.states] == core.states
+
+    @pytest.mark.parametrize("policy", [FRESH_POLICY, TIME_KEYED_POLICY], ids=["fresh", "time-keyed"])
+    def test_cm_star_is_ceskt(self, policy):
+        for e in terminating_corpus():
+            cm, core = run_cm_star(e, self.NONE, policy=policy), run_trace("ceskt", e, 4000, policy)
+            assert cm.outcome == core.outcome == "final" and cm.value == core.value
+            assert [unmarked(s) for s in cm.states] == core.states
+
+    @pytest.mark.parametrize("gc", [False, True], ids=["plain", "gc"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_acm_is_kcfa(self, k, gc):
+        wrap = collecting_successors if gc else (lambda successors: successors)
+        for e in terminating_corpus():
+            pol = KCFAPolicy(k)
+            cm = explore_states(inject_acm(e, self.NONE, pol),
+                                wrap(lambda s: step_cm_abstract(s, self.NONE, pol)), is_final_acm)
+            core = explore_states(inject_abstract(e, pol), wrap(lambda s: step_abstract(s, pol)),
+                                  is_final_abstract)
+            assert [unmarked(s) for s in cm.states] == list(core.states)
+            assert (cm.edges, cm.finals) == (core.edges, core.finals)
+            assert cm.finals

@@ -202,8 +202,8 @@ RENDERED = {
     "IfK": (lambda: IfK(LAM.body, LAM, ENV, 4, FreshA(1)), "site", 5),
     "SetK": (lambda: SetK(FreshA(0), 3, FreshA(1)), "target", FreshA(2)),
     "MtM": (lambda: MtM(EMPTY_MARKS.set("p", True)), "marks", EMPTY_MARKS),
-    "ArM": (lambda: ArM(LAM.body, ENV, EMPTY_MARKS.set("p", True), MT), "marks", EMPTY_MARKS),
-    "FnM": (lambda: FnM(LAM, ENV, EMPTY_MARKS, MT), "tail", FreshA(1)),
+    "ArM": (lambda: ArM(LAM.body, ENV, marks=EMPTY_MARKS.set("p", True), tail=MT), "marks", EMPTY_MARKS),
+    "FnM": (lambda: FnM(LAM, ENV, marks=EMPTY_MARKS, tail=MT), "tail", FreshA(1)),
 }
 
 

@@ -142,11 +142,11 @@ class TestPragma:
         assert isinstance(p.exp, Test)
 
     def test_absent_pragma_is_empty(self):
-        assert parse_program("(lambda (x) x)").permissions == frozenset()
+        assert parse_program("(lambda (x) x)").permissions is None
 
     def test_pragma_after_code_is_ignored(self):
         p = parse_program("(lambda (x) x)\n;; permissions: (p)")
-        assert p.permissions == frozenset()
+        assert p.permissions is None
 
     def test_empty_pragma(self):
         p = parse_program(";; permissions: ()\n(lambda (x) x)")
