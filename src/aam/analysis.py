@@ -14,6 +14,15 @@ There are two ways to explore:
                        store-less contexts plus one store, iterated to a
                        fixed point
 
+``explore_states`` is the graph search for any successor function, and
+indexes states by value.  ``explore_rules``, behind ``explore``,
+``explore_0cfa`` and the command line's per-state searches, runs the same
+loop over a language's rules read through an ``interning.InterningStore``
+and an ``interning.SearchPolicy`` made for that one search.  They build each frame,
+closure, environment, time, address and store once, so the search indexes
+a state by the identities of its parts (``CESKtState.part_ids``) and
+hashes no state; the tables die with the search.
+
 The policy is ``machines.KCFAPolicy`` at a bound k: the allocator of the
 concrete time-keyed machine, ``KCFAPolicy(None)``, with every contour cut to
 its first k labels.  0CFA is not a separate machine: ``explore_0cfa``,
@@ -35,10 +44,12 @@ import dataclasses
 from collections import deque
 from dataclasses import dataclass
 
+from .gc import collect, collecting_successors
 from .machines import (
     CESKtState,
     CORE,
     KCFAPolicy,
+    Language,
     _core_rules,
     is_final_abstract,
 )
@@ -96,7 +107,14 @@ def explore_states(initial, successors, is_final, order: str = "bfs") -> StateGr
     any worklist discipline yields the same state and edge sets.  Each
     successor is hashed once: a single ``setdefault`` both looks it up and,
     if it is new, numbers it, and the worklist holds indices."""
-    index = {initial: 0}
+    return _search(initial, successors, is_final, order, None)
+
+
+def _search(initial, successors, is_final, order: str, key) -> StateGraph:
+    """The one search loop.  ``key`` is None to index states by value, or
+    the states' ``part_ids`` when equal parts are one object
+    (``explore_rules``)."""
+    index = {initial if key is None else key(initial): 0}
     states = [initial]
     edges: set[tuple[int, int]] = set()
     finals: list[int] = []
@@ -107,7 +125,7 @@ def explore_states(initial, successors, is_final, order: str = "bfs") -> StateGr
     while queue:
         i = pop()
         for t in successors(states[i]):
-            j = index.setdefault(t, len(states))
+            j = index.setdefault(t if key is None else key(t), len(states))
             if j == len(states):
                 states.append(t)
                 if is_final(t):
@@ -117,13 +135,34 @@ def explore_states(initial, successors, is_final, order: str = "bfs") -> StateGr
     return StateGraph(tuple(states), frozenset(edges), tuple(sorted(finals)))
 
 
+def explore_rules(lang: Language, initial, policy, arg=None, order: str = "bfs",
+                  collecting: bool = False) -> StateGraph:
+    """The per-state graph of ``lang``'s rules from ``initial`` under
+    ``policy``, a ``KCFAPolicy``, over an ``InterningStore`` and a policy
+    (``KCFAPolicy.for_search``) made for this search alone.  Every part of
+    every successor the rules build is canonical, so states are indexed by
+    the identities of their parts and none is hashed; the tables die with
+    the search.  With ``collecting``, every state's store is first
+    restricted to what it can reach (``gc.collect``) and made canonical.
+    The graph equals ``explore_states`` over ``ABSTRACT_STORE``."""
+    from .interning import InterningStore
+
+    sem = InterningStore()
+    policy = policy.for_search()
+    rules = lang.rules
+
+    def successors(s):
+        return rules(s, sem, policy, arg)
+
+    initial = sem.state(initial)
+    if collecting:
+        initial = collect(initial, True, sem)
+        successors = collecting_successors(successors, sem)
+    return _search(initial, successors, lang.final, order, type(initial).part_ids)
+
+
 def explore(e: Exp, policy: KCFAPolicy, order: str = "bfs") -> StateGraph:
-    return explore_states(
-        inject_abstract(e, policy),
-        lambda s: step_abstract(s, policy),
-        is_final_abstract,
-        order,
-    )
+    return explore_rules(CORE, inject_abstract(e, policy), policy, None, order)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ input: states appear in first-discovery order (the contexts of a widened
 run in ``repr`` order) and every set is rendered sorted.
 
 ``_dispatch`` reads the row (``_parts``) and picks a search: a concrete
-trace (``_trace``), a per-state graph (``explore_states``), the widened
-fixpoint (``_widened``) or the pushdown solver (``_pushdown``).  Every
+trace (``_trace``), a per-state graph (``analysis.explore_rules``), the
+widened fixpoint (``_widened``) or the pushdown solver (``_pushdown``).  Every
 search returns the same shape, ``(states, edges, initial, finals,
 headline, extras)``, and ``_model`` alone turns it into output: the
 machine's reading, not the state, decides how stores print and how value
@@ -48,9 +48,9 @@ import textwrap
 from pathlib import Path
 from typing import Callable
 
-from .analysis import KCFAPolicy, explore_states, strip_store, widened_fixpoint
+from .analysis import KCFAPolicy, explore_rules, strip_store, widened_fixpoint
 from .extended import EXTENDED
-from .gc import collect, collecting_step, collecting_successors
+from .gc import collect, collecting_step
 from .inspection import SECURITY, annotate
 from .lazy import LAZY, Computed
 from .machines import (
@@ -328,9 +328,9 @@ def _validate_flags(args) -> None:
 
 
 def _parts(args, program):
-    """The row's initial state and its step (concrete) or successor
-    (abstract) function.  A security row runs the program under
-    ``--annotate``, with its permission universe as the argument."""
+    """The row's initial state, its policy and its language argument.  A
+    security row runs the program under ``--annotate``, with its
+    permission universe as the argument; ``cek`` has no policy."""
     lang, reading, arg = MACHINE_TABLE[args.machine]
     e = program.exp
     if lang is SECURITY:
@@ -345,18 +345,19 @@ def _parts(args, program):
         arg = permissions_used(e) | granted if declared is None else declared
     if reading == "cek":
         lang.check(e)
-        return inject_cek(e), step_cek
+        return inject_cek(e), None, None
     if reading in ("abstract", "mono"):
         policy = KCFAPolicy(args.k or 0)
-        return lang.inject(e, arg, policy.t0), lambda s: lang.rules(s, ABSTRACT_STORE, policy, arg)
+        return lang.inject(e, arg, policy.t0), policy, arg
     policy = LINKED_POLICY if reading == "linked" else FRESH_POLICY
-    initial = lang.inject(e, arg, policy.t0 if reading == "timed" else None)
-    return initial, lambda s: lang.step(s, policy, arg)
+    return lang.inject(e, arg, policy.t0 if reading == "timed" else None), policy, arg
 
 
 def _trace(args, program) -> tuple[tuple, int]:
     """A concrete run, and its exit code: 3 if the machine got stuck."""
-    initial, step = _parts(args, program)
+    lang, reading, _arg = MACHINE_TABLE[args.machine]
+    initial, policy, arg = _parts(args, program)
+    step = step_cek if reading == "cek" else lambda s: lang.step(s, policy, arg)
     if args.gc:
         initial = collect(initial)
         step = collecting_step(step)
@@ -397,8 +398,8 @@ def _widened(args, program) -> tuple:
     """The widened fixpoint's contexts in ``repr`` order, each read with
     the global store."""
     lang = MACHINE_TABLE[args.machine][0]
-    initial, successors = _parts(args, program)
-    system = widened_fixpoint(initial, successors)
+    initial, policy, arg = _parts(args, program)
+    system = widened_fixpoint(initial, lambda s: lang.rules(s, ABSTRACT_STORE, policy, arg))
     contexts = sorted(system.contexts, key=sort_key)
     index = {s: i for i, s in enumerate(contexts)}
     finals = [i for i, s in enumerate(contexts) if lang.final(s)]
@@ -420,11 +421,8 @@ def _dispatch(args, program) -> tuple[Model, int]:
     elif args.widen:
         run = _widened(args, program)
     else:
-        initial, successors = _parts(args, program)
-        if args.gc:
-            initial = collect(initial, abstract=True)
-            successors = collecting_successors(successors)
-        graph = explore_states(initial, successors, lang.final)
+        initial, policy, arg = _parts(args, program)
+        graph = explore_rules(lang, initial, policy, arg, collecting=args.gc)
         headline = f"Explored {len(graph.states)} states, {len(graph.finals)} final"
         run = graph.states, graph.edges, graph.initial, graph.finals, headline, []
     return _model(args, run), code
@@ -552,7 +550,9 @@ _PARSER = build_parser()
 def run(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
+        # A leading byte-order mark, which some editors write, is not part
+        # of the program.
+        text = Path(args.file).read_text(encoding="utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

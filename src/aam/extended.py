@@ -52,6 +52,8 @@ from .store import (
     FrozenMap,
     TAG_REIFY,
     Time,
+    _IDS6,
+    _call,
     cached_repr,
     value_class,
 )
@@ -192,6 +194,11 @@ class ExtState:
     kont: Kont
     time: Time
 
+    def part_ids(self) -> bytes:
+        """As ``machines.CESKtState.part_ids``."""
+        return _IDS6(id(self.ctrl), id(self.env), id(self.store), id(self.handler),
+                     id(self.kont), id(self.time))
+
 
 def inject_extended(e: Exp, policy=FRESH_POLICY) -> ExtState:
     return EXTENDED.inject(e, None, policy.t0)
@@ -201,12 +208,13 @@ def inject_extended(e: Exp, policy=FRESH_POLICY) -> ExtState:
 inject_aext = inject_extended
 
 
-def control_value(ctrl, env: Env):
-    """The value a control represents, or None for a non-value expression."""
+def control_value(ctrl, env: Env, make=_call):
+    """The value a control represents, or None for a non-value expression;
+    ``make`` is the store semantics' constructor."""
     if isinstance(ctrl, Value):
         return ctrl
     if isinstance(ctrl, Lam):
-        return Closure(ctrl, env)
+        return make(Closure, ctrl, env)
     if isinstance(ctrl, FalseLit):
         return FALSE
     if isinstance(ctrl, Callcc):
@@ -235,10 +243,12 @@ def is_final_ext(s: ExtState) -> bool:
 
 
 def _ext_rules(s: ExtState, sem, policy, _=None) -> list:
-    """The extended machine's transitions over store semantics ``sem``."""
+    """The extended machine's transitions over store semantics ``sem``,
+    which builds every frame, value and handler they make and extends
+    every environment."""
     c, env, store, eta, k = s.ctrl, s.env, s.store, s.handler, s.kont
 
-    v = control_value(c, env)
+    v = control_value(c, env, sem.make)
     if v is None:
         if isinstance(c, Ref):
             addr = env.get(c.name)
@@ -253,7 +263,7 @@ def _ext_rules(s: ExtState, sem, policy, _=None) -> list:
                     # a continuation value names its address, so all frames there give one
                     if not seen_kont:
                         seen_kont = True
-                        succs.append(ExtState(KontV(addr), env, store, eta, k, u))
+                        succs.append(ExtState(sem.make(KontV, addr), env, store, eta, k, u))
                 else:
                     ctrl2, env2 = _resume(w, env)
                     succs.append(ExtState(ctrl2, env2, store, eta, k, u))
@@ -267,17 +277,17 @@ def _ext_rules(s: ExtState, sem, policy, _=None) -> list:
             addr = policy.alloc_kont(c.label, s, k)
             if isinstance(c, App):
                 return [ExtState(c.fun, env, sem.alloc(store, addr, k), eta,
-                                 ArX(c.arg, env, c.label, addr), u)]
+                                 sem.make(ArX, c.arg, env, c.label, addr), u)]
             if isinstance(c, If):
                 return [ExtState(c.test, env, sem.alloc(store, addr, k), eta,
-                                 IfK(c.then, c.other, env, c.label, addr), u)]
+                                 sem.make(IfK, c.then, c.other, env, c.label, addr), u)]
             if isinstance(c, SetBang):
                 return [ExtState(c.value, env, sem.alloc(store, addr, k), eta,
-                                 SetK(target, c.label, addr), u)]
-            store2 = sem.alloc(store, addr, HandlerPair(eta, k))
-            return [ExtState(c.body, env, store2, Hn(c.handler, env, addr), MT, u)]
+                                 sem.make(SetK, target, c.label, addr), u)]
+            store2 = sem.alloc(store, addr, sem.make(HandlerPair, eta, k))
+            return [ExtState(c.body, env, store2, sem.make(Hn, c.handler, env, addr), MT, u)]
         if isinstance(c, Throw):
-            w = control_value(c.value, env)
+            w = control_value(c.value, env, sem.make)
             if not isinstance(eta, Hn):
                 return sem.stuck("throw with no handler installed")
             succs = []
@@ -285,8 +295,8 @@ def _ext_rules(s: ExtState, sem, policy, _=None) -> list:
                 u = sem.tick(policy, s, pair.kont)
                 addr = policy.alloc_bind(eta.lam.param, s, pair.kont)
                 store2 = sem.alloc(store, addr, w)
-                succs.append(ExtState(eta.lam.body, eta.env.set(eta.lam.param, addr), store2,
-                                      pair.handler, pair.kont, u))
+                body_env = sem.extend(eta.env, eta.lam.param, addr)
+                succs.append(ExtState(eta.lam.body, body_env, store2, pair.handler, pair.kont, u))
             return succs
         return sem.stuck("no rule for control {!r}", c)
 
@@ -298,7 +308,8 @@ def _ext_rules(s: ExtState, sem, policy, _=None) -> list:
         return [ExtState(c, env, store, p.handler, p.kont, sem.tick(policy, s, p.kont))
                 for p in pairs]
     if isinstance(k, ArX):
-        return [ExtState(k.exp, k.env, store, eta, FnX(v, k.site, k.tail), sem.tick(policy, s, k))]
+        return [ExtState(k.exp, k.env, store, eta, sem.make(FnX, v, k.site, k.tail),
+                         sem.tick(policy, s, k))]
     if not isinstance(k, (FnX, IfK, SetK)):
         return sem.stuck("no rule for continuation {!r}", k)
     popped_all = sem.fetch(store, k.tail, Kont, "continuation address")
@@ -310,20 +321,20 @@ def _ext_rules(s: ExtState, sem, policy, _=None) -> list:
                 u = sem.tick(policy, s, popped)
                 addr = policy.alloc_bind(op.lam.param, s, popped)
                 store2 = sem.alloc(store, addr, v)
-                succs.append(ExtState(op.lam.body, op.env.set(op.lam.param, addr), store2,
-                                      eta, popped, u))
+                body_env = sem.extend(op.env, op.lam.param, addr)
+                succs.append(ExtState(op.lam.body, body_env, store2, eta, popped, u))
             elif isinstance(op, CallccV) and isinstance(v, Closure):
                 u = sem.tick(policy, s, popped)
                 addr = policy.alloc_bind(v.lam.param, s, popped)
                 store2 = sem.alloc(store, addr, popped)
-                succs.append(ExtState(v.lam.body, v.env.set(v.lam.param, addr), store2,
-                                      eta, popped, u))
+                body_env = sem.extend(v.env, v.lam.param, addr)
+                succs.append(ExtState(v.lam.body, body_env, store2, eta, popped, u))
             elif isinstance(op, CallccV) and isinstance(v, KontV):
                 for target in sem.fetch(store, v.addr, Kont, "continuation address"):
                     u = sem.tick(policy, s, target)
                     addr = policy.alloc_kont(k.site, s, target, TAG_REIFY)
                     store2 = sem.alloc(store, addr, k)
-                    succs.append(ExtState(KontV(addr), env, store2, eta, target, u))
+                    succs.append(ExtState(sem.make(KontV, addr), env, store2, eta, target, u))
             elif isinstance(op, CallccV):
                 return sem.stuck("callcc applied to {!r}", v)
             elif isinstance(op, KontV):
@@ -346,7 +357,7 @@ def _ext_rules(s: ExtState, sem, policy, _=None) -> list:
             store3 = store2
             for w in kont_olds:
                 store3 = sem.alloc(store3, addr, w)
-            succs.append(ExtState(KontV(addr), env, store3, eta, popped, u))
+            succs.append(ExtState(sem.make(KontV, addr), env, store3, eta, popped, u))
         for old in olds:
             if not isinstance(old, Kont):
                 ctrl2, env2 = _resume(old, env)

@@ -120,10 +120,11 @@ def _roots(state) -> frozenset[Addr]:
     return live_locations(state)
 
 
-def collect(state, abstract: bool = False):
+def collect(state, abstract: bool = False, sem=None):
     """Restrict the state's store to the addresses reachable from its
     roots.  When every address is live the state itself is returned, so
-    its store keeps its hash and allocation mark.
+    its store keeps its hash and allocation mark.  An interning store
+    semantics ``sem`` gives the collected store its canonical copy.
 
     A concrete live set holds only mapped addresses, so equal lengths mean
     nothing is dead.  An abstract live set may name unmapped addresses, so
@@ -132,7 +133,8 @@ def collect(state, abstract: bool = False):
     live = gc_reachable(_roots(state), store, abstract)
     if (live.issuperset(store) if abstract else len(live) == len(store)):
         return state
-    return replace(state, store=store.restrict(live))
+    store = store.restrict(live)
+    return replace(state, store=store if sem is None else sem.canonical(store))
 
 
 def collecting_step(step: Callable) -> Callable:
@@ -150,11 +152,11 @@ def collecting_step(step: Callable) -> Callable:
     return wrapped
 
 
-def collecting_successors(successors: Callable) -> Callable:
+def collecting_successors(successors: Callable, sem=None) -> Callable:
     """Wrap an abstract successor function so every successor is
-    collected."""
+    collected (through ``sem``, as ``collect`` says)."""
 
     def wrapped(state, *args, **kwargs) -> list:
-        return [collect(s, abstract=True) for s in successors(state, *args, **kwargs)]
+        return [collect(s, True, sem) for s in successors(state, *args, **kwargs)]
 
     return wrapped

@@ -38,8 +38,6 @@ with it.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .analysis import alpha_fields
 from .machines import (
     Ar,
@@ -96,6 +94,11 @@ class MtM(Mt):
     def __repr__(self) -> str:
         return f"Mt^{self.marks!r}"
 
+    def marked(self, marks: Marks, make) -> MtM:
+        """This frame with ``marks`` for its marks, built by the store
+        semantics' ``make`` (as ``ArM.marked`` and ``FnM.marked``)."""
+        return make(MtM, marks)
+
 
 @value_class
 class ArM(Ar):
@@ -105,8 +108,11 @@ class ArM(Ar):
     def __repr__(self) -> str:
         return f"Ar^{self.marks!r}({self.exp!r} {self.env!r} {self.tail!r})"
 
-    def fn(self, lam: Lam, env: Env) -> FnM:
-        return FnM(lam, env, self.tail, self.marks)
+    def fn(self, lam: Lam, env: Env, make) -> FnM:
+        return make(FnM, lam, env, self.tail, self.marks)
+
+    def marked(self, marks: Marks, make) -> ArM:
+        return make(ArM, self.exp, self.env, self.tail, marks)
 
 
 @value_class
@@ -117,17 +123,21 @@ class FnM(Fn):
     def __repr__(self) -> str:
         return f"Fn^{self.marks!r}({self.lam!r} {self.env!r} {self.tail!r})"
 
+    def marked(self, marks: Marks, make) -> FnM:
+        return make(FnM, self.lam, self.env, self.tail, marks)
+
 
 # An application pushes a marked frame, with empty marks, onto a marked one.
 MtM.AR = ArM.AR = FnM.AR = ArM
 MTM = MtM()
 
 
-def mark(kont: Kont, perms: frozenset[str], value: str) -> Kont:
-    """Rewrite the top frame's marks for every permission in perms."""
+def mark(kont: Kont, perms: frozenset[str], value: str, sem) -> Kont:
+    """Rewrite the top frame's marks for every permission in perms; the
+    store semantics ``sem`` builds the marks and the frame."""
     if not perms:
         return kont
-    return dataclasses.replace(kont, marks=kont.marks.update({p: value for p in perms}))
+    return kont.marked(sem.merge(kont.marks, {p: value for p in perms}), sem.make)
 
 
 # Security-machine states have the core store machines' fields; ``time`` is
@@ -272,9 +282,11 @@ def _cm_rules(s: CMStarState, sem, policy, universe: frozenset[str]) -> list:
     if isinstance(c, Fail):
         return [] if k == MTM else [CMStarState(c, env, store, MTM, sem.tick(policy, s, MTM))]
     if isinstance(c, Frame):
-        return [CMStarState(c.body, env, store, mark(k, universe - c.perms, DENY), sem.tick(policy, s, k))]
+        marked = mark(k, universe - c.perms, DENY, sem)
+        return [CMStarState(c.body, env, store, marked, sem.tick(policy, s, k))]
     if isinstance(c, Grant):
-        return [CMStarState(c.body, env, store, mark(k, c.perms, GRANT), sem.tick(policy, s, k))]
+        marked = mark(k, c.perms, GRANT, sem)
+        return [CMStarState(c.body, env, store, marked, sem.tick(policy, s, k))]
     if isinstance(c, Test):
         some_ok, some_fail = _inspect(c.perms, k, store, sem)
         u = sem.tick(policy, s, k)

@@ -134,7 +134,8 @@ is_final_alk = is_final_abstract
 
 
 def _lk_rules(s: LKStarState, sem, policy, variant: str) -> list:
-    """The by-need transitions over store semantics ``sem``."""
+    """The by-need transitions over store semantics ``sem``, which builds
+    every frame and thunk they make and extends every environment."""
     c, env, store, k = s.ctrl, s.env, s.store, s.kont
     if isinstance(c, Ref):
         addr = env.get(c.name)
@@ -147,7 +148,8 @@ def _lk_rules(s: LKStarState, sem, policy, variant: str) -> list:
             if isinstance(thunk, Delayed):
                 ka = policy.alloc_update(c.name, s, k)
                 store2 = sem.alloc(store, ka, k)
-                succs.append(LKStarState(thunk.exp, thunk.env, store2, UpdateK(addr, ka), u))
+                frame = sem.make(UpdateK, addr, ka)
+                succs.append(LKStarState(thunk.exp, thunk.env, store2, frame, u))
             else:
                 succs.append(LKStarState(thunk.lam, thunk.env, store, k, u))
         return succs
@@ -159,37 +161,40 @@ def _lk_rules(s: LKStarState, sem, policy, variant: str) -> list:
             addr = env.get(c.arg.name)
             if addr is None:
                 return sem.stuck("unbound variable {}", c.arg.name)
-            return [LKStarState(c.fun, env, store1, ApplyK(addr, ka), u)]
+            return [LKStarState(c.fun, env, store1, sem.make(ApplyK, addr, ka), u)]
         if variant == "postponed":
-            return [LKStarState(c.fun, env, store1, ApplyExpK(c.arg, env, ka), u)]
+            return [LKStarState(c.fun, env, store1, sem.make(ApplyExpK, c.arg, env, ka), u)]
         if variant == "opt" and isinstance(c.arg, Lam):
-            entry = Computed(c.arg, env)
+            entry = sem.make(Computed, c.arg, env)
         else:
-            entry = Delayed(c.arg, env)
+            entry = sem.make(Delayed, c.arg, env)
         # A second allocation in one step: the thunk's address must come
         # from store1, whose high-water mark counts the frame just stored,
         # or it would repeat the frame's address.  A linked frame leaves
-        # the store, and so its mark, as it was.
+        # the store, and so its mark, as it was.  The state is only read
+        # by the policy, so the semantics does not build it.
         s1 = s if store1 is store else LKStarState(c, env, store1, k, s.time)
         ta = policy.alloc_kont(c.label, s1, k, TAG_THUNK)
-        return [LKStarState(c.fun, env, sem.alloc(store1, ta, entry), ApplyK(ta, ka), u)]
+        return [LKStarState(c.fun, env, sem.alloc(store1, ta, entry), sem.make(ApplyK, ta, ka), u)]
     if isinstance(c, Lam) and isinstance(k, (UpdateK, ApplyK, ApplyExpK)):
         popped_all = sem.fetch(store, k.tail, Kont, "continuation address")
         if isinstance(k, UpdateK):
             if not sem.holds(store, k.target, Delayed):
                 raise InvariantError("memo write must be the first")
-            memo = sem.update(store, k.target, Computed(c, env))
+            memo = sem.update(store, k.target, sem.make(Computed, c, env))
         succs = []
         for popped in popped_all:
             u = sem.tick(policy, s, popped)
             if isinstance(k, UpdateK):
                 succs.append(LKStarState(c, env, memo, popped, u))
             elif isinstance(k, ApplyK):
-                succs.append(LKStarState(c.body, env.set(c.param, k.arg), store, popped, u))
+                body_env = sem.extend(env, c.param, k.arg)
+                succs.append(LKStarState(c.body, body_env, store, popped, u))
             else:
                 addr = policy.alloc_bind(c.param, s, popped)
-                store2 = sem.alloc(store, addr, Delayed(k.exp, k.env))
-                succs.append(LKStarState(c.body, env.set(c.param, addr), store2, popped, u))
+                store2 = sem.alloc(store, addr, sem.make(Delayed, k.exp, k.env))
+                body_env = sem.extend(env, c.param, addr)
+                succs.append(LKStarState(c.body, body_env, store2, popped, u))
         return succs
     return sem.stuck("no rule for control {!r}", c)
 

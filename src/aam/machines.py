@@ -66,6 +66,7 @@ from .store import (
     Tick,
     Time,
     UpdateA,
+    _IDS5,
     cached_repr,
     fresh_addr,
     value_class,
@@ -130,9 +131,10 @@ class Ar(Kont):
     def __repr__(self) -> str:
         return f"Ar({self.exp!r} {self.env!r} {self.tail!r})"
 
-    def fn(self, lam: Lam, env: Env) -> Fn:
-        """The call frame this frame becomes once its operator is a value."""
-        return Fn(lam, env, self.tail)
+    def fn(self, lam: Lam, env: Env, make) -> Fn:
+        """The call frame this frame becomes once its operator is a value,
+        built by the store semantics' ``make``."""
+        return make(Fn, lam, env, self.tail)
 
 
 @value_class
@@ -203,6 +205,12 @@ class CESKtState:
     store: FrozenMap
     kont: Kont
     time: Time = None
+
+    def part_ids(self) -> bytes:
+        """The identities of the fields, packed into one bytes object: the
+        key of a state whose parts are canonical (``interning``),
+        which holds no int per part."""
+        return _IDS5(id(self.ctrl), id(self.env), id(self.store), id(self.kont), id(self.time))
 
 
 # CESK and CESK* states are untimed CESK*t states; only their frames differ.
@@ -275,6 +283,19 @@ class KCFAPolicy:
         if self.k == 0:
             return self._mono_update(var)
         return UpdateA(var, self.tick(state, kont))
+
+    def for_search(self):
+        """The policy one abstract search allocates with, whose times and
+        addresses are each made once (``interning``).  At k = 0 this policy
+        makes each address once and has one time, so it is its own; a
+        subclass, which may allocate otherwise, or a policy above k = 0 is
+        wrapped in an ``interning.SearchPolicy`` that dies with the
+        search."""
+        if self.k == 0 and type(self) is KCFAPolicy:
+            return self
+        from .interning import SearchPolicy
+
+        return SearchPolicy(self)
 
 
 class LinkedPolicy:
@@ -360,7 +381,9 @@ def _core_halt(s: CESKtState) -> Final | None:
 
 def _core_rules(s: CESKtState, sem, policy, _=None) -> list:
     """The CESK*t transitions over store semantics ``sem``, in the
-    deterministic order the abstract fan-out needs."""
+    deterministic order the abstract fan-out needs.  Every frame and
+    closure a rule builds is built by ``sem.make``, and every environment
+    by ``sem.extend``."""
     c, env, store, k = s.ctrl, s.env, s.store, s.kont
     if isinstance(c, Ref):
         addr = env.get(c.name)
@@ -377,17 +400,20 @@ def _core_rules(s: CESKtState, sem, policy, _=None) -> list:
     if isinstance(c, App):
         u = sem.tick(policy, s, k)
         addr = policy.alloc_kont(c.label, s, k)
-        return [CESKtState(c.fun, env, sem.alloc(store, addr, k), k.AR(c.arg, env, addr), u)]
+        return [CESKtState(c.fun, env, sem.alloc(store, addr, k),
+                           sem.make(k.AR, c.arg, env, addr), u)]
     if isinstance(c, Lam):
         if isinstance(k, Ar):
-            return [CESKtState(k.exp, k.env, store, k.fn(c, env), sem.tick(policy, s, k))]
+            return [CESKtState(k.exp, k.env, store, k.fn(c, env, sem.make),
+                               sem.tick(policy, s, k))]
         if isinstance(k, Fn):
             succs = []
             for popped in sem.fetch(store, k.tail, Kont, "continuation address"):
                 u = sem.tick(policy, s, popped)
                 addr = policy.alloc_bind(k.lam.param, s, popped)
-                store2 = sem.alloc(store, addr, Closure(c, env))
-                succs.append(CESKtState(k.lam.body, k.env.set(k.lam.param, addr), store2, popped, u))
+                store2 = sem.alloc(store, addr, sem.make(Closure, c, env))
+                body_env = sem.extend(k.env, k.lam.param, addr)
+                succs.append(CESKtState(k.lam.body, body_env, store2, popped, u))
             return succs
     return sem.stuck("no rule for control {!r}", c)
 

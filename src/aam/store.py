@@ -44,10 +44,15 @@ Address families:
 A single run allocates from a single family, chosen by the active policy.
 
 Every language writes its transition rules once, against a store
-semantics.  ``CONCRETE_STORE`` and ``ABSTRACT_STORE`` are the only two:
-the first fetches exactly one storable and checks that allocation is fresh
-and time advances; the second fans a fetch out over a set, joins on every
-write and runs unchecked.
+semantics.  ``CONCRETE_STORE`` fetches exactly one storable and checks
+that allocation is fresh and time advances; ``ABSTRACT_STORE`` fans a
+fetch out over a set, joins on every write and runs unchecked.  The rules
+build every frame, closure, thunk and handler, and extend every
+environment, through the semantics' hooks (``make``, ``extend``,
+``merge``), which both read as the plain constructors.  A per-state search
+reads the rules over an ``interning.InterningStore`` of its own instead:
+the abstract semantics with every part hash-consed for that one search,
+so the search can index states by the identities of their parts.
 
 A concrete "address" that is not an ``Addr`` is a continuation frame
 allocated at itself: fetching it yields the frame, and storing the frame
@@ -67,13 +72,29 @@ its ``_live`` slot (see ``gc``).
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter
+from struct import Struct
 from typing import Any, TypeVar
+
+try:
+    from operator import call as _call
+except ImportError:  # Python 3.10
+
+    def _call(f, /, *args):
+        return f(*args)
 
 K = TypeVar("K")
 V = TypeVar("V")
+
+# Keys of identities: ``n`` ``id``s packed into one bytes object, which
+# holds no int per id and which the cyclic collector does not track.  An
+# interning search keeps one per state it has seen (the ``part_ids`` of
+# ``machines.CESKtState`` and ``extended.ExtState``) and one per store
+# write it has made (``interning``).
+_IDS3, _IDS5, _IDS6 = (Struct(f"{n}Q").pack for n in (3, 5, 6))
 
 
 class StoreError(Exception):
@@ -106,7 +127,27 @@ _ABSENT = object()
 # one costs about what a plain object does.  They are immutable by
 # convention, as a ``FrozenMap`` is: no code assigns a field after
 # construction, and ``tests/test_value_classes.py`` checks that none does.
-value_class = dataclass(slots=True, unsafe_hash=True)
+if sys.version_info >= (3, 11):
+    value_class = dataclass(slots=True, unsafe_hash=True)
+else:
+
+    def value_class(cls):
+        """3.10's ``slots=True`` declares again the slots of a base's
+        fields, so a subclass such as ``inspection.ArM`` would carry each
+        of them twice.  This makes the slotted class as ``dataclasses``
+        does, but leaves out the slots a base already has, as 3.11 does."""
+        cls = dataclass(unsafe_hash=True)(cls)
+        inherited = set()
+        for base in cls.__mro__[1:-1]:
+            slots = base.__dict__.get("__slots__", ())
+            inherited.update((slots,) if isinstance(slots, str) else slots)
+        names = tuple(f.name for f in fields(cls))
+        body = dict(cls.__dict__, __slots__=tuple(n for n in names if n not in inherited))
+        for name in (*names, "__dict__", "__weakref__"):
+            body.pop(name, None)
+        made = type(cls)(cls.__name__, cls.__bases__, body)
+        made.__qualname__ = cls.__qualname__
+        return made
 
 
 def cached_repr(render):
@@ -226,7 +267,9 @@ class FrozenMap(Mapping):
     def __repr__(self) -> str:
         d = self._d
         pairs = sorted(zip(map(repr, d.keys()), d.values()), key=_first)
-        return "{" + ", ".join(f"{r}: {v!r}" for r, v in pairs) + "}"
+        return "{" + ", ".join(
+            f"{r}: {_render_set(v) if isinstance(v, frozenset) else repr(v)}" for r, v in pairs
+        ) + "}"
 
     def set(self, key, value) -> "FrozenMap":
         d = self._d
@@ -257,6 +300,13 @@ class FrozenMap(Mapping):
 
 
 _first = itemgetter(0)
+
+
+def _render_set(v: frozenset) -> str:
+    """A set's repr with its members sorted by ``repr``, as the command
+    line prints an abstract store's storables, so the text does not follow
+    the hash seed or the order the set was built in."""
+    return "frozenset({" + ", ".join(sorted(map(repr, v))) + "})" if v else "frozenset()"
 
 
 class _Root(FrozenMap):
@@ -546,18 +596,13 @@ def astore_leq(a: FrozenMap, b: FrozenMap) -> bool:
 def sort_key(x: Any) -> str:
     """Ordering key for fan-outs and rendering: the repr.
 
-    Every domain object has a repr built only from its fields.  That does
-    not make every repr the same in every process: ``FrozenMap.__repr__``
-    sorts a map's keys, but prints an abstract store's sets of storables in
-    set iteration order, which follows the string hash seed and how each
-    set was built.  So the repr of anything holding an abstract store (a
-    pushdown node, a widened context's store) can differ between runs.
-    Nothing that prints depends on that order: the command line renders
-    every set of storables sorted, and the storables, closures and frames
-    this key orders in a fan-out hold no abstract store.  ``pushdown``
-    orders its worklist by the reprs of nodes, which do hold one, so its
-    node numbering could follow the seed; the command-line goldens,
-    ``pushdown`` among them, hold under ``PYTHONHASHSEED`` 1 to 4.
+    Every domain object has a repr built only from its fields, and no repr
+    follows the string hash seed: ``FrozenMap.__repr__`` sorts a map's keys
+    and lists each set of storables of an abstract store sorted by repr,
+    as the command line prints them.  So the reprs of things that hold an
+    abstract store (a pushdown node, a widened context's store) are the
+    same in every process, and ``pushdown``, which orders its worklist by
+    the reprs of its nodes, numbers them the same under any seed.
     """
     return repr(x)
 
@@ -567,7 +612,24 @@ def sort_key(x: Any) -> str:
 # ---------------------------------------------------------------------------
 
 
-class ConcreteStore:
+class _Builds:
+    """The constructor hooks of a store semantics that builds every object
+    anew.  The rules build each frame, closure, thunk and handler with
+    ``sem.make(cls, *fields)``, extend an environment with
+    ``sem.extend(env, name, addr)`` and a marks table with
+    ``sem.merge(marks, items)``.  Here the three are the plain calls
+    (``operator.call``, ``FrozenMap.set`` and ``FrozenMap.update``), kept
+    as instance attributes: reading one binds nothing, so a concrete step
+    pays no Python-level call for them (``interning.InterningStore``
+    overrides them with methods)."""
+
+    def __init__(self):
+        self.make = _call
+        self.extend = FrozenMap.set
+        self.merge = FrozenMap.update
+
+
+class ConcreteStore(_Builds):
     """Exact stores.  A fetch yields the one storable of the expected kind
     or stops the machine; allocation must be fresh; update overwrites; each
     tick of a timed state must strictly advance time.  A frame is its own
@@ -630,7 +692,7 @@ class ConcreteStore:
         raise MachineStuck(reason.format(*args))
 
 
-class AbstractStore:
+class AbstractStore(_Builds):
     """Stores of storable sets.  A fetch fans out over every storable of
     the expected kind in ``sort_key`` order; allocation and update both
     join; ticks are unchecked; a state no rule matches has no successors.

@@ -162,6 +162,20 @@ class TestExitCodes:
         assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
         assert "Traceback" not in r.stderr
 
+    def test_a_byte_order_mark_is_not_part_of_the_program(self, tmp_path):
+        """A file some editors save with a UTF-8 byte-order mark runs as
+        the same file without it."""
+        outputs = []
+        for name, head in (("plain.scm", b""), ("bom.scm", b"\xef\xbb\xbf")):
+            source = tmp_path / name
+            source.write_bytes(head + ID_ID.encode() + b"\n")
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run(["cek", str(source)])
+            assert (code, err.getvalue()) == (0, "")
+            outputs.append(out.getvalue())
+        assert outputs[1] == outputs[0] and "Final: (lambda (y) y)" in outputs[0]
+
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
     def test_closed_output_pipe_ends_the_command_like_cat(self, tmp_path):
         # About 370 KB of text: far more than a pipe buffers, so the writer

@@ -88,6 +88,15 @@ class TestFrozenMap:
         assert repr(m1) == repr(m2)
         assert repr(m1).index("'a'") < repr(m1).index("'b'")
 
+    def test_repr_lists_each_set_of_storables_sorted(self):
+        """An abstract store's sets print in ``repr`` order, whatever order
+        the hash seed and the set's history give them."""
+        members = [f"v{i}" for i in range(40)]
+        m1 = FrozenMap({"a": frozenset(members), "b": frozenset()})
+        m2 = FrozenMap({"b": frozenset(), "a": frozenset(reversed(members))})
+        listed = ", ".join(sorted(map(repr, members)))
+        assert repr(m1) == repr(m2) == f"{{'a': frozenset({{{listed}}}), 'b': frozenset()}}"
+
     def test_repr_is_cached(self):
         m = FrozenMap({"b": 2, "a": 1})
         assert repr(m) is repr(m)

@@ -5,7 +5,8 @@ pushdown nodes are ``store.value_class`` dataclasses: slotted and
 non-frozen, so building one costs about what a plain object does.  Their
 immutability is a convention, and this module guards it:
 
-* instances have no ``__dict__``, and no class keeps ``frozen=True``;
+* instances have no ``__dict__``, no class keeps ``frozen=True``, and no
+  class declares a slot its base already has;
 * no code in ``src/aam`` assigns a field of a value class, by attribute
   store, ``setattr`` or ``object.__setattr__``;
 * hash and equality are those of the field tuple, on the states and
@@ -98,6 +99,16 @@ def test_value_class_instances_have_no_dict():
         assert "__slots__" in vars(cls), f"{cls.__name__} has no __slots__"
     for x in _corpus_objects():
         assert not hasattr(x, "__dict__"), f"{type(x).__name__} instance has a __dict__"
+
+
+def test_no_value_class_declares_a_base_slot_again():
+    """A slot a base declares is not declared again (Python 3.10's own
+    ``slots=True`` would, and each instance would carry it twice)."""
+    for cls in VALUE_CLASSES:
+        own = set(cls.__slots__)
+        for base in cls.__mro__[1:-1]:
+            again = own & set(vars(base).get("__slots__", ()))
+            assert not again, f"{cls.__name__} declares {sorted(again)} again ({base.__name__})"
 
 
 # ---------------------------------------------------------------------------
