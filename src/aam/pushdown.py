@@ -19,6 +19,12 @@ computed by worklist saturation over three constraint rules:
   passes p's parents along; the derived edge from p to that node is a
   summary edge, standing for the whole balanced call/return segment
 
+The solver numbers each node when it first meets it, and its tables hold
+node numbers: a node is hashed by value only when a step or a return
+builds it and the numbering looks it up.  Fan-outs are ordered by the nodes'
+``sort_key``, rendered once per node and kept, which makes the worklist
+order, and with it the numbering, the same in every process.
+
 Binding addresses must come from a finite set.  The default policy keys a
 binding by the bound value's label (a one-deep contour), which keeps
 rebound variables at different call sites apart; a monovariant policy is
@@ -182,80 +188,87 @@ def _saturate(
     init: PdNode, policy: PdPolicy, global_store: Optional[FrozenMap]
 ) -> tuple[PushdownGraph, FrozenMap]:
     """Run the constraint solver.  With a global store, node stores are
-    held constant and binds are collected for the caller to iterate on."""
-    order: list[PdNode] = []
+    held constant and binds are collected for the caller to iterate on.
+
+    A node is numbered once, when it is discovered: ``index`` hashes it by
+    value there and nowhere else, and every other table holds numbers.
+    ``parents[i]`` and ``eps_out[i]`` are sets of node numbers, and
+    ``pops[i]`` maps the ``sort_key`` of each control node ``i`` pops to
+    onto the control.  A node's ``sort_key`` is rendered at discovery and
+    kept in ``keys``; each fan-out sorts numbers by the kept keys, which is
+    the order of the nodes themselves, as no two nodes of a graph render
+    alike."""
+    nodes: list[PdNode] = []
+    keys: list[str] = []
     index: dict[PdNode, int] = {}
-    parents: dict[PdNode, set[PdNode]] = {}
-    eps_out: dict[PdNode, set[PdNode]] = {}
-    pops: dict[PdNode, set[PdControl]] = {}
+    parents: list[set[int]] = []
+    eps_out: list[set[int]] = []
+    pops: list[dict[str, PdControl]] = []
     edges: set[tuple[int, int, str]] = set()
     collected = global_store if global_store is not None else EMPTY_ASTORE
     work: deque[tuple] = deque()
+    key_of = keys.__getitem__
 
     def add_node(n: PdNode) -> int:
-        """The node's index, numbering it first if it is new."""
-        i = index.setdefault(n, len(order))
-        if i == len(order):
-            order.append(n)
-            parents[n] = set()
-            eps_out[n] = set()
-            pops[n] = set()
+        """The node's number, numbering it first if it is new."""
+        i = index.setdefault(n, len(nodes))
+        if i == len(nodes):
+            nodes.append(n)
+            keys.append(sort_key(n))
+            parents.append(set())
+            eps_out.append(set())
+            pops.append({})
             work.append(("node", i))
         return i
 
-    def add_parent(n: PdNode, p: PdNode) -> None:
-        if p not in parents[n]:
-            parents[n].add(p)
-            work.append(("parent", n, p))
+    def add_parent(i: int, p: int) -> None:
+        if p not in parents[i]:
+            parents[i].add(p)
+            work.append(("parent", i, p))
 
-    def add_eps(src: PdNode, dst: PdNode) -> None:
+    def add_eps(src: int, dst: int) -> None:
         if dst not in eps_out[src]:
             eps_out[src].add(dst)
-            for p in sorted(parents[src], key=sort_key):
+            for p in sorted(parents[src], key=key_of):
                 add_parent(dst, p)
 
-    def fire_pop(n: PdNode, ctrl2: PdControl, p: PdNode) -> None:
-        ret = PdNode(ctrl2, p.top)
-        r = add_node(ret)
-        edges.add((index[n], r, "pop"))
-        edges.add((index[p], r, "summary"))
-        add_eps(p, ret)
+    def fire_pop(i: int, ctrl2: PdControl, p: int) -> None:
+        r = add_node(PdNode(ctrl2, nodes[p].top))
+        edges.add((i, r, "pop"))
+        edges.add((p, r, "summary"))
+        add_eps(p, r)
 
     add_node(init)
     while work:
         event = work.popleft()
         if event[0] == "node":
             i = event[1]
-            n = order[i]
+            n = nodes[i]
             for ctrl2, action, frame in step_pushdown(n.control, n.top, policy):
                 if global_store is not None and ctrl2.store is not n.control.store:
                     collected = astore_join(collected, ctrl2.store)
                     ctrl2 = PdControl(ctrl2.exp, ctrl2.env, n.control.store)
                 if action == "push":
-                    n2 = PdNode(ctrl2, frame)
-                    edges.add((i, add_node(n2), "push"))
-                    add_parent(n2, n)
-                elif action == "swap":
-                    n2 = PdNode(ctrl2, frame)
-                    edges.add((i, add_node(n2), "eps"))
-                    add_eps(n, n2)
-                elif action == "none":
-                    n2 = PdNode(ctrl2, n.top)
-                    edges.add((i, add_node(n2), "eps"))
-                    add_eps(n, n2)
+                    j = add_node(PdNode(ctrl2, frame))
+                    edges.add((i, j, "push"))
+                    add_parent(j, i)
+                elif action == "pop":
+                    pops[i][sort_key(ctrl2)] = ctrl2
+                    for p in sorted(parents[i], key=key_of):
+                        fire_pop(i, ctrl2, p)
                 else:
-                    pops[n].add(ctrl2)
-                    for p in sorted(parents[n], key=sort_key):
-                        fire_pop(n, ctrl2, p)
+                    j = add_node(PdNode(ctrl2, frame if action == "swap" else n.top))
+                    edges.add((i, j, "eps"))
+                    add_eps(i, j)
         else:
-            _tag, n, p = event
-            for dst in sorted(eps_out[n], key=sort_key):
+            _tag, i, p = event
+            for dst in sorted(eps_out[i], key=key_of):
                 add_parent(dst, p)
-            for ctrl2 in sorted(pops[n], key=sort_key):
-                fire_pop(n, ctrl2, p)
+            for _key, ctrl2 in sorted(pops[i].items()):
+                fire_pop(i, ctrl2, p)
 
-    finals = tuple(i for i, n in enumerate(order) if is_final_node(n))
-    graph = PushdownGraph(tuple(order), frozenset(edges), 0, finals)
+    finals = tuple(i for i, n in enumerate(nodes) if is_final_node(n))
+    graph = PushdownGraph(tuple(nodes), frozenset(edges), 0, finals)
     return graph, collected
 
 

@@ -603,6 +603,12 @@ def sort_key(x: Any) -> str:
     abstract store (a pushdown node, a widened context's store) are the
     same in every process, and ``pushdown``, which orders its worklist by
     the reprs of its nodes, numbers them the same under any seed.
+
+    The key is the whole repr, and a pushdown node's holds its store, so
+    ``pushdown._saturate`` renders each node's key once, when it numbers
+    the node, and sorts node numbers by the kept keys.  Other callers pay
+    one ``repr`` call per key; a value, frame or map keeps its own text
+    (``cached_repr``), so that call renders each object once.
     """
     return repr(x)
 

@@ -8,6 +8,8 @@ test run sees the same programs.  Four corpora:
 * fuel-divergent core terms (20, biased toward self-application)
 * terminating extended-language terms
 * security-language terms over the permission universe {p, q}
+
+and ``church_mul(n)``, the Church product n × n applied to two identities.
 """
 
 from __future__ import annotations
@@ -187,6 +189,16 @@ def _collect(rng, gen_candidate, keep, want, attempts=20000):
     if len(out) < want:
         raise RuntimeError(f"corpus generation fell short: {len(out)}/{want}")
     return out
+
+
+MUL = "(lambda (m) (lambda (n) (lambda (g) (m (n g)))))"
+
+
+def church_mul(n: int) -> Exp:
+    """``((mul n) n)`` applied to ``(lambda (a) a)``, then to
+    ``(lambda (b) b)``, which it returns."""
+    numeral = "(lambda (f) (lambda (x) " + "(f " * n + "x" + ")" * n + "))"
+    return parse(f"(((({MUL} {numeral}) {numeral}) (lambda (a) a)) (lambda (b) b))")
 
 
 _cache: dict[str, list[Exp]] = {}

@@ -17,6 +17,7 @@ import pytest
 
 from corpus import (
     UNIVERSE,
+    church_mul,
     divergent_corpus,
     extended_corpus,
     security_corpus,
@@ -39,7 +40,6 @@ from aam.store import (
     _Root,
     fresh_addr,
 )
-from aam.syntax import parse
 
 FUEL = 1000
 DIVERGENT_FUEL = 60
@@ -134,14 +134,6 @@ def test_every_allocation_is_max_plus_one(runs, monkeypatch):
     # Without GC a store only grows, so no number comes back; with it,
     # collection drops top addresses and the scan reuses their numbers.
     assert (reissued > 0) == (runs is gc_runs)
-
-
-MUL = "(lambda (m) (lambda (n) (lambda (g) (m (n g)))))"
-
-
-def church_mul(n: int):
-    numeral = "(lambda (f) (lambda (x) " + "(f " * n + "x" + ")" * n + "))"
-    return parse(f"(((({MUL} {numeral}) {numeral}) (lambda (a) a)) (lambda (b) b))")
 
 
 def count_scans(monkeypatch) -> dict:

@@ -218,8 +218,9 @@ OMEGA = "((lambda (w) (w w)) (lambda (w) (w w)))"
 # family, whose dict order follows the rerooting.
 @pytest.mark.parametrize(
     "args",
-    [("kcfa", "--k", "1"), ("pushdown",), ("ceskstar", "--fuel", "400")],
-    ids=["kcfa1", "pushdown", "ceskstar-trie"],
+    [("kcfa", "--k", "1"), ("pushdown",), ("pushdown", "--widen"),
+     ("ceskstar", "--fuel", "400")],
+    ids=["kcfa1", "pushdown", "pushdown-widen", "ceskstar-trie"],
 )
 def test_json_output_is_the_same_under_every_hash_seed(tmp_path, args):
     source = tmp_path / "program.scm"

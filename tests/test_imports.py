@@ -1,11 +1,14 @@
 """Import hygiene: every name a package module imports at module level is
 used in that module, or re-exported through ``__all__``.  No linter runs
 on this repository, so this is the check that catches a name an edit
-leaves behind."""
+leaves behind.  Also: importing the command line leaves the per-search
+interning module unloaded."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import aam
@@ -58,3 +61,13 @@ def test_the_check_sees_an_unused_import(tmp_path):
         "    return None\n"
     )
     assert unused_imports(source) == ["load", "os"]
+
+
+def test_importing_the_command_line_does_not_load_interning():
+    """``aam.interning`` is imported by the first abstract search, so a
+    command line that never searches abstractly does not compile it."""
+    probe = "import sys, aam.cli; print(sorted(m for m in sys.modules if m.startswith('aam.')))"
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert "'aam.cli'" in r.stdout
+    assert "aam.interning" not in r.stdout

@@ -3,9 +3,11 @@ the widened variant, and the concrete companion machine."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from corpus import divergent_corpus, terminating_corpus
+from corpus import church_mul, divergent_corpus, terminating_corpus
 from oracles import pd_node_covered
 from aam.analysis import KCFAPolicy, explore, explore_0cfa
 from aam.machines import TIME_KEYED_POLICY
@@ -19,7 +21,15 @@ from aam.pushdown import (
     reachable_pushdown_widened,
     run_pd_trace,
 )
-from aam.store import BindA, Contour, EMPTY_ASTORE, MonoBindA, astore_join, astore_leq
+from aam.store import (
+    BindA,
+    Contour,
+    EMPTY_ASTORE,
+    MonoBindA,
+    astore_join,
+    astore_leq,
+    sort_key,
+)
 from aam.syntax import FeatureError, parse, unparse
 
 P_RETURN_FLOW = parse(
@@ -162,3 +172,107 @@ class TestGates:
         assert isinstance(mono, MonoBindA)
         assert isinstance(keyed, BindA)
         assert keyed.time == Contour((lam.label,))
+
+
+# ---------------------------------------------------------------------------
+# The solver's output, byte for byte
+# ---------------------------------------------------------------------------
+
+PROGRAM_SETS = {
+    **{f"church{n}": (lambda n=n: [church_mul(n)]) for n in range(2, 7)},
+    "terminating": terminating_corpus,
+    "divergent": divergent_corpus,
+}
+ANALYSES = {
+    "mono": lambda e: (reachable_pushdown(e, PUSHDOWN_MONO), None),
+    "value": lambda e: (reachable_pushdown(e, PUSHDOWN_VALUE), None),
+    "widened-mono": lambda e: _widened(reachable_pushdown_widened(e, PUSHDOWN_MONO)),
+    "widened-value": lambda e: _widened(reachable_pushdown_widened(e, PUSHDOWN_VALUE)),
+}
+
+
+def _widened(w):
+    return w.graph, repr(w.store).encode() + str(w.iterations).encode()
+
+
+# sha256, over the programs of a set in order, of each graph's node reprs
+# in numbering order (one a line), its sorted ``(i, j, kind)`` edges and its
+# finals, followed for a widened run by its store's repr and its
+# iterations.  Recorded from the solver that keyed its tables by node
+# values and sorted the nodes themselves; they hold under any hash seed.
+DIGESTS = {
+    ("church2", "mono"):
+        "5cec1e263b45c076c1c39dc45c831f35a942df0c6e07f39f76037f1fe075a906",
+    ("church2", "value"):
+        "6805d198a38aa16ae8839f3b481ad7fde6c49b4d9a73a51bc59ebe4ad8aa1631",
+    ("church2", "widened-mono"):
+        "5513e36495e0749ce55e5c731d91d60f884afbcd07bc28f1354f05cb69dae4f0",
+    ("church2", "widened-value"):
+        "ce0b2ddfb07cb29e7439452cb87f9ffd27da45997926653e8fd433682de6e47c",
+    ("church3", "mono"):
+        "bf1d626fb7389140508a21c9de29ad1c650a25e3e6d7e468bc36cf31fbbf72fa",
+    ("church3", "value"):
+        "4770994ada1254e23f31ea47015b1c5dff81d68bc492138412dc0dfe4172809f",
+    ("church3", "widened-mono"):
+        "5da40edf35091ca9f3983c7f0c4dcf476a1d657ba44c997cd7ffc2b036faef1a",
+    ("church3", "widened-value"):
+        "a924af5e662478f1d661beb9093ebb3a7af3cdcba6be2135ef07007c05a62164",
+    ("church4", "mono"):
+        "ba56e12f74e51f8f4e96e4dffa2ac16d77e18333914272d150e914d79ef5a363",
+    ("church4", "value"):
+        "3364bc26cb5b86d588c0d6dcff3b6208fde59eb744d3f3343c79d710bcac5579",
+    ("church4", "widened-mono"):
+        "286ae97b962f0dc677eebdfe0c88b445b98055965a7ed048868c510f72cffb9a",
+    ("church4", "widened-value"):
+        "479c2d5d190ae9c4aec21f9d190f546b710ee4e30c3369ce84c487e949281fd2",
+    ("church5", "mono"):
+        "41c1ad97acf03347adf31a65a53c9b152738cfdb9019cc53ff6eac991be2e1b2",
+    ("church5", "value"):
+        "8f8f9a5bb5f1e31fc0bce25d4cfa7d2626e7444f4c0ffabb754b1753a6511a57",
+    ("church5", "widened-mono"):
+        "366c91b65a9645da9e315572f25d3f02196c369aad746f0fde6d7a4020649bdc",
+    ("church5", "widened-value"):
+        "136a8f0e9bfb8299eb2efc001d2449c6eb8df007057f0bf945436d7df3ecdccc",
+    ("church6", "mono"):
+        "6a98f0df404eb8f73562ed5209366766f1e8ba93c14081ac52625f4484f6dea4",
+    ("church6", "value"):
+        "c41b906e5496e5e3ae2d1c105d5140de52b5195f1b14ef80d4a24fa371ba96bf",
+    ("church6", "widened-mono"):
+        "7d144f280bc282560d59041907a31abeea7c16e1ccbfdb559259d541580463e2",
+    ("church6", "widened-value"):
+        "30e610c34a69c882f9dcef84c500c471a3682b196408da1ded20a173b4229a22",
+    ("terminating", "mono"):
+        "58a43da5c2476ab29b063fc34595d7d83f0b07d36e2a719813f312220f38d957",
+    ("terminating", "value"):
+        "ea09d89cd14781bb65cb8080f0d9c057bcdc20bf32d351e89ab7d545dbfcffb1",
+    ("terminating", "widened-mono"):
+        "29c26322dd75eb7ea102b34903921758a18ed4c27a680eda4bc211df4e29899e",
+    ("terminating", "widened-value"):
+        "b9332416c4f11635948cc56fefcbdcd4e03a69086c8b524b60442161120db86b",
+    ("divergent", "mono"):
+        "e4ec1a86a7dbc13e1169d0410155bee7a7f7d90c037bee8618db0b8d4da6437d",
+    ("divergent", "value"):
+        "959a394df0ad7104669dcedc61001568f87ad1adbaf5d592cab088738098f6e2",
+    ("divergent", "widened-mono"):
+        "cff3354af6653d195b9b79731b1fe986dcd1c8e7c4583a19012093efebbe591c",
+    ("divergent", "widened-value"):
+        "bc8d002742816f9c80cf1fdb673609c8aa914463b39512166fe4c1ce673de02e",
+}
+
+
+@pytest.mark.parametrize("analysis", ANALYSES)
+@pytest.mark.parametrize("programs", PROGRAM_SETS)
+def test_graphs_are_pinned_byte_for_byte(programs, analysis):
+    h = hashlib.sha256()
+    for e in PROGRAM_SETS[programs]():
+        graph, widened = ANALYSES[analysis](e)
+        for n in graph.nodes:
+            h.update(repr(n).encode() + b"\n")
+        h.update(repr(sorted(graph.edges)).encode())
+        h.update(repr(graph.finals).encode())
+        if widened is not None:
+            h.update(widened)
+        # The solver sorts node numbers by the nodes' kept keys, which
+        # orders them as the nodes only while no two keys are equal.
+        assert len({sort_key(n) for n in graph.nodes}) == len(graph.nodes), unparse(e)
+    assert h.hexdigest() == DIGESTS[programs, analysis]
