@@ -18,10 +18,11 @@ There are two ways to explore:
 indexes states by value.  ``explore_rules``, behind ``explore``,
 ``explore_0cfa`` and the command line's per-state searches, runs the same
 loop over a language's rules read through an ``interning.InterningStore``
-and an ``interning.SearchPolicy`` made for that one search.  They build each frame,
-closure, environment, time, address and store once, so the search indexes
-a state by the identities of its parts (``CESKtState.part_ids``) and
-hashes no state; the tables die with the search.
+made for that one search, which builds each frame, closure, environment
+and store once; the policy makes each time and address once.  So the
+search indexes a state by the identities of its parts
+(``CESKtState.part_ids``) and hashes no state; the store's tables die
+with the search.
 
 The policy is ``machines.KCFAPolicy`` at a bound k: the allocator of the
 concrete time-keyed machine, ``KCFAPolicy(None)``, with every contour cut to
@@ -114,6 +115,8 @@ def _search(initial, successors, is_final, order: str, key) -> StateGraph:
     """The one search loop.  ``key`` is None to index states by value, or
     the states' ``part_ids`` when equal parts are one object
     (``explore_rules``)."""
+    if order not in ("bfs", "dfs"):
+        raise ValueError(f"unknown search order {order!r}: 'bfs' or 'dfs'")
     index = {initial if key is None else key(initial): 0}
     states = [initial]
     edges: set[tuple[int, int]] = set()
@@ -138,17 +141,22 @@ def _search(initial, successors, is_final, order: str, key) -> StateGraph:
 def explore_rules(lang: Language, initial, policy, arg=None, order: str = "bfs",
                   collecting: bool = False) -> StateGraph:
     """The per-state graph of ``lang``'s rules from ``initial`` under
-    ``policy``, a ``KCFAPolicy``, over an ``InterningStore`` and a policy
-    (``KCFAPolicy.for_search``) made for this search alone.  Every part of
-    every successor the rules build is canonical, so states are indexed by
-    the identities of their parts and none is hashed; the tables die with
-    the search.  With ``collecting``, every state's store is first
-    restricted to what it can reach (``gc.collect``) and made canonical.
-    The graph equals ``explore_states`` over ``ABSTRACT_STORE``."""
+    ``policy``, a ``KCFAPolicy``, over an ``InterningStore`` made for this
+    search alone.  Every part of every successor the rules build is
+    canonical, so states are indexed by the identities of their parts and
+    none is hashed; the store's tables die with the search.  With
+    ``collecting``, every state's store is first restricted to what it can
+    reach (``gc.collect``) and made canonical.  The graph equals
+    ``explore_states`` over ``ABSTRACT_STORE``.  Any other policy class,
+    which may build a second time or address equal to one it made, would
+    make the search run forever, so it is refused: search with it through
+    ``explore_states``."""
+    if type(policy) is not KCFAPolicy:
+        raise TypeError(f"explore_rules needs a KCFAPolicy, not {type(policy).__name__}; "
+                        "search with other policies through explore_states")
     from .interning import InterningStore
 
     sem = InterningStore()
-    policy = policy.for_search()
     rules = lang.rules
 
     def successors(s):

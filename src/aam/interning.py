@@ -1,20 +1,21 @@
-"""Per-search hash-consing: the store semantics and the policy one
-abstract search reads its rules with.
+"""Per-search hash-consing: the store semantics one abstract search reads
+its rules with.
 
 A per-state search meets the same few parts over and over: at k = 0,
 ``explore_0cfa`` on Church mul 3×3 reaches 15,529 states built from 7
 environments, 31 continuations and 625 stores.  Over ``ABSTRACT_STORE``
 every step builds its parts anew, so the search must hash each successor
-whole to tell it has seen it.  ``InterningStore`` and ``SearchPolicy``
-instead make each part once for the search (Filliâtre & Conchon,
-*Type-Safe Modular Hash-Consing*, 2006), looked up by the identities of
-the parts it is made from, so equal parts are one object and the search
-keys a state by its parts' identities (``analysis.explore_rules``).  Only
-the parts a step changes cost anything (Johnson, Labich, Might & Van
-Horn, *Optimizing Abstract Abstract Machines*, 2013).
+whole to tell it has seen it.  ``InterningStore`` instead makes each part
+once for the search (Filliâtre & Conchon, *Type-Safe Modular
+Hash-Consing*, 2006), looked up by the identities of the parts it is made
+from, so equal parts are one object and the search keys a state by its
+parts' identities (``analysis.explore_rules``).  Only the parts a step
+changes cost anything (Johnson, Labich, Might & Van Horn, *Optimizing
+Abstract Abstract Machines*, 2013).  Times and addresses come from the
+search's ``machines.KCFAPolicy``, which makes each of them once.
 
-Both hold their tables in themselves, and a search makes its own and
-drops them when it returns: no module-level object holds a table.  The
+The store holds its tables in itself, and a search makes its own and
+drops it when it returns: no module-level object holds a table.  The
 module is imported by the first search, so a run that never searches
 abstractly does not load it.
 """
@@ -29,8 +30,6 @@ from .store import (
     AbstractStore,
     Addr,
     FrozenMap,
-    TAG_KONT,
-    Time,
     sort_key,
 )
 
@@ -42,8 +41,7 @@ class InterningStore(AbstractStore):
     set of storables and written store is made once, and equal ones are
     one object.  A search makes one for itself and drops it when it
     returns, so no table outlives the search (``analysis.explore_rules``);
-    its policy makes times and addresses once the same way
-    (``SearchPolicy``).
+    its ``KCFAPolicy`` makes each time and address once.
 
     Each part is looked up by the identities of the canonical parts it is
     made from, so a hit hashes no value:
@@ -151,53 +149,3 @@ class InterningStore(AbstractStore):
             return s
         return replace(s, env=env, store=store)
 
-
-class SearchPolicy:
-    """An allocation policy as one search uses it, with each time and
-    address made once: a tick is looked up by the identities of the state's
-    control and time, an allocation by its variable or site and tag and the
-    same two identities.  A miss asks ``base`` and makes its answer
-    canonical by value, so equal times and addresses are one object and a
-    hit builds nothing.  ``base`` must read nothing of a state but its
-    control and time, and nothing of the continuation, as every
-    ``machines.KCFAPolicy`` does."""
-
-    def __init__(self, base):
-        self.t0 = base.t0
-        self._base = base
-        self._ticks: dict = {}  # (id(control), id(time)) -> time
-        # ("bind" or "upd" and var, or tag and site, id(control), id(time)) -> address
-        self._addrs: dict = {}
-        self._made: dict = {base.t0: base.t0}  # times and addresses, by value
-
-    def _canonical(self, x):
-        return self._made.setdefault(x, x)
-
-    def tick(self, state, kont) -> Time:
-        key = (id(state.ctrl), id(state.time))
-        got = self._ticks.get(key)
-        if got is None:
-            got = self._ticks[key] = self._canonical(self._base.tick(state, kont))
-        return got
-
-    def alloc_bind(self, var: str, state, kont) -> Addr:
-        key = ("bind", var, id(state.ctrl), id(state.time))
-        got = self._addrs.get(key)
-        if got is None:
-            got = self._addrs[key] = self._canonical(self._base.alloc_bind(var, state, kont))
-        return got
-
-    def alloc_kont(self, site: int, state, kont, tag: str = TAG_KONT) -> Addr:
-        key = (tag, site, id(state.ctrl), id(state.time))
-        got = self._addrs.get(key)
-        if got is None:
-            got = self._addrs[key] = self._canonical(
-                self._base.alloc_kont(site, state, kont, tag))
-        return got
-
-    def alloc_update(self, var: str, state, kont) -> Addr:
-        key = ("upd", var, id(state.ctrl), id(state.time))
-        got = self._addrs.get(key)
-        if got is None:
-            got = self._addrs[key] = self._canonical(self._base.alloc_update(var, state, kont))
-        return got

@@ -251,51 +251,45 @@ class KCFAPolicy:
     each bounded k.  k=0 degenerates to the time-free monovariant address
     families, and every tick to the one shared empty contour.
 
-    At k = 0 an address is a function of its variable or of its site and
-    tag, so the policy makes each one once and hands the same object out
-    on every later allocation; the addresses live as long as the policy."""
+    At a bounded k the range is finite, and the policy makes each contour
+    and each address once, handing the same object out on every later
+    tick or allocation that gives it; they live as long as the policy.
+    Equal times and addresses are thus one object, which the per-state
+    search needs to key states by the identities of their parts
+    (``analysis.explore_rules``).  The unbounded policy builds new ones."""
 
     def __init__(self, k: int | None):
         if k is not None and k < 0:
             raise ValueError("k must be non-negative")
         self.k = k
-        self.t0 = Contour(())
-        self._mono_bind = cache(MonoBindA)
-        self._mono_kont = cache(MonoKontA)
-        self._mono_update = cache(MonoUpdateA)
+        # Each maker is always called with the same arity, so a cache
+        # entry is keyed by every field.
+        once = (lambda cls: cls) if k is None else cache
+        self._contour = once(Contour)
+        self.t0 = self._contour(())
+        self._bind = once(MonoBindA if k == 0 else BindA)
+        self._kont = once(MonoKontA if k == 0 else KontA)
+        self._update = once(MonoUpdateA if k == 0 else UpdateA)
 
     def tick(self, state, kont) -> Contour:
         if self.k == 0:
             return self.t0
-        return Contour(((tick_label(state.ctrl),) + state.time.labels)[: self.k])
+        return self._contour(((tick_label(state.ctrl),) + state.time.labels)[: self.k])
 
     def alloc_bind(self, var: str, state, kont) -> Addr:
         if self.k == 0:
-            return self._mono_bind(var)
-        return BindA(var, self.tick(state, kont))
+            return self._bind(var)
+        return self._bind(var, self.tick(state, kont))
 
     def alloc_kont(self, site: int, state, kont, tag: str = TAG_KONT) -> Addr:
         if self.k == 0:
-            return self._mono_kont(site, tag)
-        return KontA(site, self.tick(state, kont), tag)
+            return self._kont(site, tag)
+        return self._kont(site, self.tick(state, kont), tag)
 
     def alloc_update(self, var: str, state, kont) -> Addr:
         if self.k == 0:
-            return self._mono_update(var)
-        return UpdateA(var, self.tick(state, kont))
-
-    def for_search(self):
-        """The policy one abstract search allocates with, whose times and
-        addresses are each made once (``interning``).  At k = 0 this policy
-        makes each address once and has one time, so it is its own; a
-        subclass, which may allocate otherwise, or a policy above k = 0 is
-        wrapped in an ``interning.SearchPolicy`` that dies with the
-        search."""
-        if self.k == 0 and type(self) is KCFAPolicy:
-            return self
-        from .interning import SearchPolicy
-
-        return SearchPolicy(self)
+            return self._update(var)
+        return self._update(var, self.tick(state, kont))
 
 
 class LinkedPolicy:

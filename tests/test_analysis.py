@@ -144,11 +144,19 @@ class TestExplore:
         for e in terminating_corpus()[:20]:
             for k in (0, 1):
                 bfs = explore(e, KCFAPolicy(k), order="bfs")
-                dfs = explore(e, KCFAPolicy(k), order="lifo")
+                dfs = explore(e, KCFAPolicy(k), order="dfs")
                 assert frozenset(bfs.states) == frozenset(dfs.states)
                 bfs_pairs = {(bfs.states[i], bfs.states[j]) for i, j in bfs.edges}
                 dfs_pairs = {(dfs.states[i], dfs.states[j]) for i, j in dfs.edges}
                 assert bfs_pairs == dfs_pairs
+
+    def test_an_unknown_order_is_refused(self):
+        with pytest.raises(ValueError, match="'BFS'"):
+            explore(P_PRECISION, KCFAPolicy(1), order="BFS")
+        pol = KCFAPolicy(0)
+        with pytest.raises(ValueError, match="'lifo'"):
+            explore_states(inject_abstract(P_PRECISION, pol), lambda s: step_abstract(s, pol),
+                           is_final_abstract, order="lifo")
 
     def test_same_process_determinism(self):
         e = P_PRECISION
@@ -273,16 +281,20 @@ class TestMonovariantMachine:
 
 
 class UninternedPolicy(KCFAPolicy):
-    """The k = 0 policy building a new address on every allocation."""
+    """The bounded policy building a new time and address on every tick
+    and allocation."""
+
+    def tick(self, state, kont):
+        return dataclasses.replace(super().tick(state, kont))
 
     def alloc_bind(self, var, state, kont):
-        return MonoBindA(var)
+        return dataclasses.replace(super().alloc_bind(var, state, kont))
 
     def alloc_kont(self, site, state, kont, tag=TAG_KONT):
-        return MonoKontA(site, tag)
+        return dataclasses.replace(super().alloc_kont(site, state, kont, tag))
 
     def alloc_update(self, var, state, kont):
-        return MonoUpdateA(var)
+        return dataclasses.replace(super().alloc_update(var, state, kont))
 
 
 class TestMonovariantAddresses:
@@ -296,12 +308,32 @@ class TestMonovariantAddresses:
         assert thunk == MonoKontA(3, TAG_THUNK) != policy.alloc_kont(3, None, None)
         assert policy.alloc_bind("y", None, None) == MonoBindA("y")
 
+    def test_a_bounded_policy_makes_each_time_and_address_once(self):
+        e = parse("((lambda (x) x) (lambda (y) y))")
+        for k in (1, 2):
+            policy = KCFAPolicy(k)
+            s = inject_abstract(e, policy)
+            t = policy.tick(s, None)
+            assert t is policy.tick(s, None) and t == Contour((e.label,))
+            assert policy.alloc_bind("x", s, None) is policy.alloc_bind("x", s, None)
+            assert policy.alloc_update("x", s, None) is policy.alloc_update("x", s, None)
+            assert policy.alloc_kont(3, s, None) is policy.alloc_kont(3, s, None)
+            assert policy.alloc_kont(3, s, None).time is t
+        s = inject_abstract(e, TIME_KEYED_POLICY)
+        assert TIME_KEYED_POLICY.alloc_bind("x", s, None) is not TIME_KEYED_POLICY.alloc_bind("x", s, None)
+
     def test_interning_leaves_the_graphs_unchanged(self):
+        """The graphs are those of a policy that makes nothing once,
+        searched by value (``explore`` refuses such a policy)."""
         for e in terminating_corpus() + divergent_corpus():
-            interned, fresh = explore(e, KCFAPolicy(0)), explore(e, UninternedPolicy(0))
-            assert interned.states == fresh.states
-            assert interned.edges == fresh.edges
-            assert interned.finals == fresh.finals
+            for k in (0, 1):
+                pol = UninternedPolicy(k)
+                interned = explore(e, KCFAPolicy(k))
+                fresh = explore_states(inject_abstract(e, pol), lambda s: step_abstract(s, pol),
+                                       is_final_abstract)
+                assert interned.states == fresh.states
+                assert interned.edges == fresh.edges
+                assert interned.finals == fresh.finals
 
 
 class TestStateOrder:

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import pytest
 
-from corpus import extended_corpus
+from corpus import divergent_corpus, extended_corpus, terminating_corpus
 from oracles import alpha_simulated
-from aam.analysis import KCFAPolicy, explore_states
+from aam.analysis import KCFAPolicy, explore, explore_rules, explore_states
 from aam.extended import (
+    EXTENDED,
     MTH,
     ExtState,
     FalseV,
@@ -32,6 +33,8 @@ from aam.machines import (
     TIME_KEYED_POLICY,
     Closure,
     Stuck,
+    inject_ceskt,
+    step_ceskt,
     trace_from,
 )
 from aam.store import EMPTY_MAP, MonoBindA, astore_get
@@ -129,6 +132,33 @@ class TestCorpusRuns:
             assert a.outcome == b.outcome == "final"
             assert len(a.states) == len(b.states)
             assert value_key(a.value) == value_key(b.value)
+
+
+class TestCoreMachine:
+    """On a core program the extended machine is the time-stamped core
+    machine: its frames carry a call site (``ArX``) or an operator value
+    (``FnX``) where the core ones carry syntax, and its handler register
+    stays ``MtH``, but every state has the same control, environment,
+    time and store addresses, and every abstract graph the same shape."""
+
+    def test_ext_is_ceskt(self):
+        for e in terminating_corpus() + divergent_corpus():
+            ext = trace_from(step_extended, inject_extended(e), 300)
+            core = trace_from(step_ceskt, inject_ceskt(e, FRESH_POLICY), 300)
+            assert (ext.outcome, len(ext.states)) == (core.outcome, len(core.states)), unparse(e)
+            for x, c in zip(ext.states, core.states):
+                assert x.handler == MTH
+                assert (x.ctrl, x.env, x.time) == (c.ctrl, c.env, c.time), unparse(e)
+                assert set(x.store) == set(c.store), unparse(e)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_aext_is_kcfa(self, k):
+        for e in terminating_corpus() + divergent_corpus():
+            pol = KCFAPolicy(k)
+            ext, core = explore_rules(EXTENDED, inject_aext(e, pol), pol), explore(e, KCFAPolicy(k))
+            shape = lambda g: (len(g.states), len(g.edges), len(g.finals))  # noqa: E731
+            assert shape(ext) == shape(core), unparse(e)
+            assert [ext.states[i].ctrl for i in ext.finals] == [core.states[i].ctrl for i in core.finals]
 
 
 class TestInvariants:
